@@ -27,6 +27,7 @@ engine -- stale caches cannot leak across schema versions.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -366,6 +367,9 @@ class AnalysisEngine:
         if self.expr_cache_size < 1:
             raise ValueError("expr_cache_size must be >= 1")
         self.stats = EngineStats()
+        # pair_hits is the one counter two threads bump: a service's
+        # event loop via peek_pair, its analysis thread via analyze_pair.
+        self._hits_lock = threading.Lock()
         self._store = None
         self._digest: str | None = None
         self._recursion: RecursionStructure | None = None
@@ -600,7 +604,8 @@ class AnalysisEngine:
         cache_key = (query_key, update_key, k, collect_witnesses)
         cached = self._pair_cache.get(cache_key)
         if cached is not None:
-            self.stats.pair_hits += 1
+            with self._hits_lock:
+                self.stats.pair_hits += 1
             self._pair_cache.move_to_end(cache_key)
             self._plan_pair("pair_memo", query_key, update_key)
             return cached
@@ -671,6 +676,29 @@ class AnalysisEngine:
             self._store.put(*store_key, _slim(report))
             self.stats.store_writes += 1
         self._memoize(cache_key, report)
+        return report
+
+    def peek_pair(self, query: str, update: str,
+                  k: int | None = None) -> IndependenceReport | None:
+        """The memoized witness-free report for a pair, or ``None``.
+
+        Probes the pair memo under exactly the key a witness-free
+        :meth:`analyze_pair` call uses, and nothing else: it does not
+        parse, read the verdict store, build a universe, or insert,
+        evict or reorder memo entries.  That makes it safe to call from
+        another thread than the one running :meth:`analyze_pair` (the
+        service's event loop, while the analysis thread computes): one
+        ``dict`` read is atomic under the GIL, and every cache keeps a
+        single writer.  A hit counts in ``stats.pair_hits`` and records
+        the ``engine/pair_memo`` plan decision, like any memo hit.
+        """
+        query_key = normalize_source(query)
+        update_key = normalize_source(update)
+        report = self._pair_cache.get((query_key, update_key, k, False))
+        if report is not None:
+            with self._hits_lock:
+                self.stats.pair_hits += 1
+            self._plan_pair("pair_memo", query_key, update_key)
         return report
 
     def _memoize(self, cache_key: tuple, report: IndependenceReport) -> None:

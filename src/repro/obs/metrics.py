@@ -50,16 +50,22 @@ SIZE_BOUNDS: tuple[float, ...] = tuple(float(2**i) for i in range(11))
 
 
 class Counter:
-    """A monotonically increasing integer, one per label tuple."""
+    """A monotonically increasing integer, one per label tuple.
 
-    __slots__ = ("value",)
+    Increments hold a lock: the service's event loop and its analysis
+    thread tick the same children (``engine/pair_memo`` plan decisions).
+    """
+
+    __slots__ = ("value", "_lock")
 
     def __init__(self) -> None:
         self.value = 0
+        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (default 1) to the counter."""
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def data(self) -> dict:
         """Serializable state: ``{"value": n}``."""

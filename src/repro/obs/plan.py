@@ -11,8 +11,9 @@ same pattern as :class:`~repro.obs.tracing.TraceContext`):
 - ``batcher`` — how the analyze call was executed: coalesced into a
   ``matrix`` or ``sparse`` flush (with flush id and dedup factor),
   ``direct`` when batching is disabled, ``oneshot`` when the client
-  opted out, or ``fallback`` when a failed flush degraded to
-  per-request analysis.
+  opted out, ``fallback`` when a failed flush degraded to per-request
+  analysis, or ``memo`` when the pair memo answered it before
+  admission.
 - ``engine`` — where each pair verdict came from (``pair_memo`` /
   ``store`` / ``computed``) and, for computed verdicts, whether the
   type universe was a cache ``hit`` or freshly ``built``.
@@ -71,7 +72,7 @@ __all__ = [
 #: tests diff it against this constant.
 PLAN_DECISIONS: dict[str, tuple[str, ...]] = {
     "router": ("digest", "alias", "builtin"),
-    "batcher": ("matrix", "sparse", "direct", "oneshot", "fallback"),
+    "batcher": ("matrix", "sparse", "direct", "oneshot", "fallback", "memo"),
     "engine": ("pair_memo", "store", "computed"),
     "docstore": ("projected", "unprojected", "from_store", "generated"),
     "pushdown": ("compiled", "ineligible"),

@@ -16,7 +16,9 @@ the doc tests):
 - ``queue_wait`` — time spent in the admission batcher between submit
   and the start of the flush that served the request.
 - ``engine`` — analysis/evaluation work on the analysis thread (for a
-  coalesced batch this is the shared flush's engine time).
+  coalesced batch this is the shared flush's engine time), or the
+  pair-memo lookup on the event loop for an ``analyze`` answered
+  before admission (no ``queue_wait`` then).
 - ``store`` — verdict/document-store work: group commit for ``analyze``,
   save/load/run_steps for the document ops.
 """
@@ -55,13 +57,25 @@ class TraceContext:
     ``timing`` response field by :meth:`report`.
     """
 
-    __slots__ = ("trace_id", "started", "spans", "_token")
+    __slots__ = ("_trace_id", "started", "spans", "_token")
 
     def __init__(self, trace_id: str | None = None) -> None:
-        self.trace_id = trace_id or uuid.uuid4().hex[:16]
+        self._trace_id = trace_id or None
         self.started = time.perf_counter()
         self.spans: list[tuple[str, float]] = []
         self._token = None
+
+    @property
+    def trace_id(self) -> str:
+        """The client's trace id, or a random one drawn on first read.
+
+        Every request gets a context but few ever show their id (the
+        ``timing`` report, the slow log, a traced forward to a shard),
+        so the ``uuid4`` is only paid by those that do.
+        """
+        if self._trace_id is None:
+            self._trace_id = uuid.uuid4().hex[:16]
+        return self._trace_id
 
     def add_span(self, name: str, seconds: float) -> None:
         """Record one timed span."""

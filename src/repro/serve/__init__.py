@@ -2,9 +2,10 @@
 
 ``repro.serve`` turns the per-schema batch analysis engine into a
 long-running, multi-tenant network service: a JSON-lines-over-TCP
-asyncio server (:mod:`.server`) whose ``analyze`` endpoint funnels
-concurrent requests through a micro-batching admission queue
-(:mod:`.batching`) into coalesced ``analyze_matrix`` calls, with every
+asyncio server (:mod:`.server`) whose ``analyze`` endpoint answers
+memoized pairs straight from the pair memo and funnels the rest
+through a micro-batching admission queue (:mod:`.batching`) into
+coalesced ``analyze_matrix`` calls, with every
 verdict written through to a restart-surviving SQLite store
 (:mod:`.store`) and schemas hosted in an LRU-bounded registry
 (:mod:`.registry`).

@@ -1,7 +1,12 @@
 """Micro-batching admission queue for ``analyze`` requests.
 
-Concurrent ``analyze`` requests for the same ``(schema_digest, k)``
-that arrive within a small window (default 2 ms) are coalesced into one
+Only requests the pair memo cannot answer are admitted: the service
+answers a memoized pair on the event loop before it reaches this queue
+(:meth:`~repro.analysis.engine.AnalysisEngine.peek_pair`), so
+:attr:`MicroBatcher.requests` counts admitted requests, not every
+``analyze``.  Concurrent admitted requests for the same
+``(schema_digest, k)`` that arrive within a small window (default 2 ms)
+are coalesced into one
 :meth:`~repro.analysis.engine.AnalysisEngine.analyze_matrix` call over
 the batch's distinct queries x distinct updates, executed on a single
 analysis worker thread with the verdict store in group-commit mode.

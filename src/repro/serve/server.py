@@ -4,7 +4,8 @@ Architecture of one (unsharded) service instance, top to bottom::
 
     connections (asyncio streams, one task per connection,
                  concurrent per-request dispatch, responses tagged by id)
-      -> MicroBatcher admission queue        (analyze)
+      -> pair-memo lane                      (analyze of a memoized pair)
+      -> MicroBatcher admission queue        (every other analyze)
       -> SchemaRegistry (LRU of per-schema AnalysisEngines)
       -> storage backend (verdict KV: write-through, group commit;
          memory / SQLite / PostgreSQL, picked by the store URL)
@@ -13,9 +14,14 @@ plus direct endpoints over the same engines for ``matrix``,
 ``schedule`` (:class:`~repro.viewmaint.scheduler.IsolationScheduler`
 waves), and materialized-view maintenance
 (:class:`~repro.viewmaint.cache.ViewCache`) over documents loaded per
-connection-independent doc ids.  All engine work runs on the batcher's
-single analysis worker thread; the event loop only parses, dispatches,
-and writes.
+connection-independent doc ids.  All engine work that computes a
+verdict or writes an engine cache runs on the batcher's single analysis
+worker thread.  The event loop parses, dispatches and writes, and
+answers an ``analyze`` whose pair is already in the engine's pair memo
+itself: that lane is one read-only memo probe
+(:meth:`~repro.analysis.engine.AnalysisEngine.peek_pair`), so a warm
+verdict skips the admission window and the thread hop while the worker
+stays the only writer of every engine cache.
 
 With ``shards`` > 1 the admission path changes shape from "one queue,
 one thread" to "router + shard pool": :class:`ShardedService` spawns a
@@ -39,12 +45,12 @@ the unsharded service.
 
 ``analysis_mode`` selects how ``analyze`` requests are served:
 
-* ``"batched"`` (default) -- through the micro-batching admission
-  queue: coalesced ``analyze_matrix`` flushes, group-committed store
-  writes;
-* ``"engine"`` -- batching disabled, but each request still served by
-  the shared per-schema engine (per-request executor hand-off and
-  per-verdict commit);
+* ``"batched"`` (default) -- memo lane, then the micro-batching
+  admission queue: coalesced ``analyze_matrix`` flushes,
+  group-committed store writes;
+* ``"engine"`` -- memo lane, then batching disabled, but each request
+  still served by the shared per-schema engine (per-request executor
+  hand-off and per-verdict commit);
 * ``"oneshot"`` -- batching and the engine layer disabled: every
   request pays the full one-shot :func:`repro.analysis.analyze` cost
   (universe + inference tables rebuilt per call).  This is the naive
@@ -682,7 +688,8 @@ class IndependenceService(JsonLinesFront):
         return k
 
     async def _op_analyze(self, params: dict) -> dict:
-        """One independence verdict, via the admission queue."""
+        """One independence verdict: from the pair memo when the pair is
+        warm, else via the admission queue."""
         schema_ref = require(params, "schema")
         query = require(params, "query")
         update = require(params, "update")
@@ -694,12 +701,23 @@ class IndependenceService(JsonLinesFront):
                 lambda: oneshot_analyze(query, update, schema, k=k,
                                         collect_witnesses=False)
             )
-            verdict = wire_verdict(report)
-        else:
+            return wire_verdict(report).as_dict()
+        # The memo lane: a memoized pair is answered here on the event
+        # loop, without the admission window or the thread hop.  The
+        # probe only reads the memo, so the analysis thread stays the
+        # one writer of every engine cache.
+        started = time.perf_counter()
+        report = self.registry.engine(schema_ref).peek_pair(query, update, k)
+        if report is None:
             verdict = await self.batcher.submit(
                 schema_ref, query, update, k=k
             )
-        return verdict.as_dict()
+            return verdict.as_dict()
+        trace = current_trace()
+        if trace is not None:
+            trace.add_span("engine", time.perf_counter() - started)
+        plan_decision("batcher", "memo")
+        return wire_verdict(report).as_dict()
 
     async def _op_matrix(self, params: dict) -> dict:
         """A full queries x updates verdict grid in one round trip."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 from contextlib import contextmanager
 
 from ..analysis.engine import PairVerdict
@@ -98,6 +99,13 @@ WHERE s.doc = ? AND s.loc = ?{tag_filter} ORDER BY n.loc
 """
 
 
+#: How long :func:`connect` keeps retrying a WAL switch that SQLite
+#: refused as locked, and how long it sleeps between tries.  The
+#: deadline matches the ``busy_timeout`` pragma.
+WAL_SWITCH_DEADLINE_SECONDS = 10.0
+WAL_SWITCH_RETRY_SECONDS = 0.005
+
+
 def connect(path: str) -> sqlite3.Connection:
     """The one SQLite connection factory every store goes through.
 
@@ -109,8 +117,34 @@ def connect(path: str) -> sqlite3.Connection:
     connection = sqlite3.connect(path, check_same_thread=False)
     if path != ":memory:":
         for pragma, value in PRAGMAS:
-            connection.execute(f"PRAGMA {pragma}={value}")
+            statement = f"PRAGMA {pragma}={value}"
+            if pragma == "journal_mode":
+                _switch_journal_mode(connection, statement)
+            else:
+                connection.execute(statement)
     return connection
+
+
+def _switch_journal_mode(connection: sqlite3.Connection,
+                         statement: str) -> None:
+    """Run the journal-mode pragma, retrying while the file is locked.
+
+    When several processes open one fresh file at once (the shards of
+    a sharded service sharing a store), SQLite can refuse the WAL
+    switch with ``SQLITE_BUSY`` without ever calling the busy handler,
+    so ``busy_timeout`` does not cover it.  Retry with a short sleep
+    until :data:`WAL_SWITCH_DEADLINE_SECONDS` has passed.
+    """
+    deadline = time.monotonic() + WAL_SWITCH_DEADLINE_SECONDS
+    while True:
+        try:
+            connection.execute(statement)
+            return
+        except sqlite3.OperationalError as error:
+            if "database is locked" not in str(error) \
+                    or time.monotonic() >= deadline:
+                raise
+        time.sleep(WAL_SWITCH_RETRY_SECONDS)
 
 
 class SqliteVerdictKV(VerdictKV):

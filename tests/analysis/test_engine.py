@@ -302,6 +302,63 @@ class TestPairMemoBound:
             AnalysisEngine(bib, expr_cache_size=0)
 
 
+class _CountingStore:
+    """A verdict KV that only counts how often it is read."""
+
+    def __init__(self):
+        self.gets = 0
+
+    def get(self, *key):
+        self.gets += 1
+        return None
+
+
+class TestPeekPair:
+    """``peek_pair`` reads the pair memo and does nothing else."""
+
+    def test_hit_returns_the_memoized_report(self, bib):
+        engine = AnalysisEngine(bib)
+        report = engine.analyze_pair("//title", "delete //price",
+                                     collect_witnesses=False)
+        hits = engine.stats.pair_hits
+        assert engine.peek_pair("//title", "delete //price") is report
+        assert engine.peek_pair("  //title ", "delete   //price") is report
+        assert engine.stats.pair_hits == hits + 2
+
+    def test_miss_parses_nothing_and_reads_no_store(self, bib):
+        engine = AnalysisEngine(bib)
+        store = _CountingStore()
+        engine.attach_store(store)
+        # Unparsable text is just another missing key.
+        assert engine.peek_pair("//title[", "delete //price") is None
+        assert engine.peek_pair("//title", "delete //price") is None
+        assert store.gets == 0
+        assert len(engine._parsed_queries) == 0
+        assert engine.stats.universes_built == 0
+        assert engine.stats.pair_misses == 0
+        assert len(engine._pair_cache) == 0
+
+    def test_key_is_exactly_the_witness_free_analyze_pair_key(self, bib):
+        engine = AnalysisEngine(bib)
+        engine.analyze_pair("//title", "delete //price", k=3,
+                            collect_witnesses=False)
+        engine.analyze_pair("//author", "delete //price",
+                            collect_witnesses=True)
+        assert engine.peek_pair("//title", "delete //price") is None
+        assert engine.peek_pair("//title", "delete //price", k=3) \
+            is not None
+        assert engine.peek_pair("//author", "delete //price") is None
+
+    def test_leaves_the_lru_order_alone(self, bib):
+        engine = AnalysisEngine(bib)
+        first, second = TestPairMemoBound.PAIRS[:2]
+        engine.analyze_pair(*first, collect_witnesses=False)
+        engine.analyze_pair(*second, collect_witnesses=False)
+        order = list(engine._pair_cache)
+        assert engine.peek_pair(*first) is not None
+        assert list(engine._pair_cache) == order
+
+
 class TestEngineStats:
     def test_cachestats_alias_survives(self):
         from repro.analysis import CacheStats, EngineStats

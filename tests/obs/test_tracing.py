@@ -29,6 +29,32 @@ def test_generated_trace_ids_are_unique():
     assert a.trace_id != b.trace_id
 
 
+def test_trace_id_is_drawn_on_first_read_only(monkeypatch):
+    import repro.obs.tracing as tracing
+
+    drawn = []
+    real_uuid4 = tracing.uuid.uuid4
+
+    def counting_uuid4():
+        drawn.append(1)
+        return real_uuid4()
+
+    monkeypatch.setattr(tracing.uuid, "uuid4", counting_uuid4)
+    trace = start_trace()
+    try:
+        with span("engine"):
+            pass
+        assert drawn == []
+        first = trace.trace_id
+        assert drawn == [1]
+        assert trace.report()["trace"] == first
+        assert drawn == [1]
+    finally:
+        finish_trace(trace)
+    assert TraceContext("client-id").trace_id == "client-id"
+    assert drawn == [1]
+
+
 def test_module_level_span_attaches_to_current_trace():
     trace = start_trace()
     try:

@@ -85,11 +85,13 @@ def test_analyze_verdict_sources_are_distinguishable(tmp_path):
     assert first["detail"]["query"] == "//title"
     assert _layer(memo["plan"], "engine")["decision"] == "pair_memo"
     assert _layer(stored["plan"], "engine")["decision"] == "store"
-    # All three rode the micro-batch admission queue.
-    for response in (computed, memo, stored):
+    # The computed and the store-served requests rode the micro-batch
+    # admission queue; the memo hit was answered before admission.
+    for response in (computed, stored):
         batcher = _layer(response["plan"], "batcher")
         assert batcher["decision"] in ("matrix", "sparse")
         assert batcher["detail"]["pairs"] >= 1
+    assert _layer(memo["plan"], "batcher")["decision"] == "memo"
 
 
 def test_analysis_mode_shapes_the_batcher_decision():

@@ -63,7 +63,9 @@ def test_report_gains_scrape_timing_and_doc_sections():
     assert server["per_op"]["doc.query"]["count"] == 4
 
     breakdown = observed["span_breakdown"]
-    assert {"engine", "queue_wait", "total"} <= set(breakdown["analyze"])
+    # The first run warmed every pair, so the sampled analyze requests
+    # were answered from the pair memo: engine, but no queue_wait.
+    assert {"engine", "total"} <= set(breakdown["analyze"])
     assert "engine" in breakdown["doc.query"]
     assert breakdown["analyze"]["engine"]["count"] > 0
 

@@ -70,21 +70,26 @@ def test_timing_field_reports_per_layer_spans():
                     "analyze", trace="trace-42", timing=True, **ANALYZE
                 )
                 untimed = await client.call("analyze", **ANALYZE)
+                memo = await client.call("analyze", timing=True, **ANALYZE)
                 load = await client.call("doc.load", schema="bib",
                                          bytes=4000, seed=1)
                 doc = await client.call(
                     "doc.query", schema="bib", doc=load["doc"],
                     query="//title", timing=True,
                 )
-        return analyze, untimed, doc
+        return analyze, untimed, memo, doc
 
-    analyze, untimed, doc = asyncio.run(run())
+    analyze, untimed, memo, doc = asyncio.run(run())
     assert analyze["ok"], analyze
     timing = analyze["timing"]
     assert timing["trace"] == "trace-42"
     names = {span["name"] for span in timing["spans"]}
     assert "engine" in names and "queue_wait" in names
     assert timing["total_ms"] >= 0.0
+    # The repeat is answered from the pair memo before admission: the
+    # lookup is its engine span, and it never queued.
+    memo_names = [span["name"] for span in memo["timing"]["spans"]]
+    assert memo_names == ["engine"]
     # timing is strictly opt-in: the response shape without it is
     # unchanged (the serve-bench overhead gate rides on this).
     assert "timing" not in untimed
