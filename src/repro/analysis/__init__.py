@@ -18,7 +18,6 @@ from .cdag import (
 )
 from .engine import (
     AnalysisEngine,
-    CacheStats,
     EngineStats,
     MatrixResult,
     PairVerdict,
@@ -84,7 +83,6 @@ __all__ = [
     "dynamic_independent",
     "dynamic_independent_generated",
     "AnalysisEngine",
-    "CacheStats",
     "EngineStats",
     "MatrixResult",
     "PairVerdict",

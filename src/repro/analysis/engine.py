@@ -197,10 +197,6 @@ class EngineStats:
         }
 
 
-#: Historical name (pre-serve) for :class:`EngineStats`.
-CacheStats = EngineStats
-
-
 @dataclass(frozen=True)
 class PairVerdict:
     """Slim per-pair outcome used by matrix results (picklable, chain-free)."""
@@ -404,11 +400,6 @@ class AnalysisEngine:
     def matches(self, schema: Schema) -> bool:
         """Is this engine's cache valid for ``schema``?"""
         return schema is self.schema or self.digest == schema_digest(schema)
-
-    @property
-    def k(self) -> int | None:
-        """Historical alias for :attr:`default_k`."""
-        return self.default_k
 
     # -- persistent verdict store ---------------------------------------------
 

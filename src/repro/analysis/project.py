@@ -20,7 +20,8 @@ from ..xmldm.store import Location, Tree
 from ..xquery.ast import ROOT_VAR, Query
 from ..xquery.parser import parse_query
 from .cdag import ChainExplosion, Component
-from .independence import AnalysisEngine, build_universe
+from .engine import AnalysisEngine
+from .independence import build_universe
 from .infer_query import QueryChains, QueryInference
 from .kbound import multiplicity
 
@@ -232,7 +233,8 @@ def project_for_query(
         query = parse_query(query)
     if k is None:
         k = max(1, multiplicity(query))
-    if engine is not None and engine.k == k and engine.schema is schema:
+    if engine is not None and engine.default_k == k \
+            and engine.schema is schema:
         inference = engine.queries
     else:
         inference = QueryInference(build_universe(schema, k))

@@ -62,7 +62,6 @@ from .storage import (
     DocumentStore,
     StorageBackend,
     VerdictKV,
-    is_store_url,
     open_store,
     parse_store_url,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "DocumentStore",
     "StorageBackend",
     "VerdictKV",
-    "is_store_url",
     "open_store",
     "parse_store_url",
     # serving

@@ -55,6 +55,7 @@ from .schema.dtd import DTD
 from .schema.infer import infer_dtd
 from .serve.loadgen import LoadgenConfig
 from .serve.server import ANALYSIS_MODES, ServeConfig
+from .storage import open_store, parse_store_url
 from .xmldm.generator import generate_document
 from .xmldm.parse import parse_xml
 from .xmldm.serialize import serialize
@@ -85,6 +86,16 @@ def _add_schema_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--root", help="start symbol for --dtd")
     parser.add_argument("--builtin", choices=sorted(_BUILTINS),
                         help="use a built-in schema")
+
+
+def _store_url(value: str) -> str:
+    """``--store`` type: a valid store URL, returned unchanged (a bad
+    one exits with status 2 and names its URL spelling)."""
+    try:
+        parse_store_url(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -146,11 +157,9 @@ def _cmd_infer_dtd(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     import time
-    from contextlib import ExitStack
 
     from .analysis.project import chain_keep_for_queries
     from .docstore.streamload import load_path
-    from .storage import normalize_store_flags
 
     schema = _load_schema(args)
     keep = None
@@ -167,29 +176,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
           f"skipped {result.subtrees_skipped:,} subtrees, "
           f"{seconds * 1e3:.1f} ms"
           + (" [projected]" if keep is not None else ""))
-    normalize_store_flags("", args.docstore or "",
-                          doc_flag="--docstore")
-    target = args.store or args.docstore
-    if target:
+    if args.store:
         from .analysis.engine import schema_digest
 
         doc_id = args.doc or args.document
-        with ExitStack() as stack:
-            if args.store:
-                from .storage import open_store
-
-                documents = stack.enter_context(
-                    open_store(args.store)
-                ).documents
-            else:
-                # Legacy --docstore path: a documents-only SQLite file,
-                # byte-compatible with what DocumentBackend produced.
-                from .storage.sqlite import SqliteDocumentStore
-
-                documents = stack.enter_context(
-                    SqliteDocumentStore(args.docstore)
-                )
-            rows = documents.save(
+        with open_store(args.store) as backend:
+            rows = backend.documents.save(
                 doc_id, result.tree, schema_digest(schema),
                 nodes_seen=result.nodes_seen,
                 subtrees_skipped=result.subtrees_skipped,
@@ -203,7 +195,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 },
             )
         print(f"persisted {rows:,} node rows as {doc_id!r} "
-              f"in {target}")
+              f"in {args.store}")
     return 0
 
 
@@ -217,7 +209,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     to stderr so stdout stays pipeable.
     """
     from .docstore.pushdown import compile_query, serialize_answers
-    from .storage import open_store
     from .xquery.parser import parse_query
 
     try:
@@ -279,7 +270,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """
     from .docstore.pushdown import compile_query_explain, step_label
     from .obs.plan import PlanContext, decision, render_plan
-    from .storage import open_store
     from .xquery.parser import parse_query
 
     try:
@@ -495,14 +485,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .serve.server import run_service
-    from .storage import normalize_store_flags
 
-    normalize_store_flags(args.store, args.doc_store)
     config = ServeConfig(
         host=args.host,
         port=args.port,
         store_path=args.store,
-        doc_store_path=args.doc_store,
         batch_window=args.window / 1e3,
         max_batch=args.max_batch,
         analysis_mode=args.mode,
@@ -681,15 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="query whose inferred chains drive "
                                "projection pushdown (repeatable; the "
                                "union of chains is kept)")
-    load_cmd.add_argument("--store", default=None,
+    load_cmd.add_argument("--store", default=None, type=_store_url,
                           help="persist the node table into this store "
                                "URL (memory://, sqlite:///docs.db, "
                                "postgresql://host/db; see "
                                "docs/STORAGE.md)")
-    load_cmd.add_argument("--docstore",
-                          help="deprecated: persist into this SQLite "
-                               "document store path (use --store with "
-                               "a store URL instead)")
     load_cmd.add_argument("--doc",
                           help="document id in the store (default: "
                                "the file path)")
@@ -701,9 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
              "SQL when it fits the step fragment (no materialization)",
     )
     query_cmd.add_argument("query", help="query text, e.g. '//title'")
-    query_cmd.add_argument("--store", required=True,
-                           help="store URL (or SQLite path) holding "
-                                "the persisted node table")
+    query_cmd.add_argument("--store", required=True, type=_store_url,
+                           help="store URL holding the persisted node "
+                                "table")
     query_cmd.add_argument("--doc", required=True,
                            help="document id in the store")
     query_cmd.add_argument("--limit", type=int, default=None,
@@ -718,9 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
              "ineligibility reason, plus the answer path",
     )
     explain_cmd.add_argument("query", help="query text, e.g. '//title'")
-    explain_cmd.add_argument("--store", required=True,
-                             help="store URL (or SQLite path) holding "
-                                  "the persisted node table")
+    explain_cmd.add_argument("--store", required=True, type=_store_url,
+                             help="store URL holding the persisted "
+                                  "node table")
     explain_cmd.add_argument("--doc", required=True,
                              help="document id in the store")
     explain_cmd.set_defaults(func=_cmd_explain)
@@ -840,23 +823,15 @@ def build_parser() -> argparse.ArgumentParser:
                            default=serve_defaults.port,
                            help="TCP port (0 picks a free one)")
     serve_cmd.add_argument("--store", default=serve_defaults.store_path,
+                           type=_store_url,
                            help="store URL (memory://, "
                                 "sqlite:///path.db, "
-                                "postgresql://host/db) persisting "
-                                "verdicts AND documents in one "
-                                "backend; a plain SQLite path is the "
-                                "deprecated verdicts-only spelling "
-                                "(default: in-memory; with --shards, "
-                                "the backend is shared by all shards; "
-                                "see docs/STORAGE.md)")
-    serve_cmd.add_argument("--doc-store",
-                           default=serve_defaults.doc_store_path,
-                           help="deprecated: separate SQLite document "
-                                "store path (use one --store URL "
-                                "instead); loaded documents persist as "
-                                "node tables and survive restarts "
-                                "without a re-parse "
-                                "(default: disabled)")
+                                "postgresql://host/db); a file or "
+                                "server persists verdicts AND "
+                                "documents in one backend, shared by "
+                                "all shards (default: in-memory "
+                                "verdicts, no documents; see "
+                                "docs/STORAGE.md)")
     serve_cmd.add_argument("--window", type=float,
                            default=serve_defaults.batch_window * 1e3,
                            help="micro-batch admission window, ms")
@@ -981,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench_cmd.add_argument("--shards", type=int, default=2,
                                  help="shard count for the sharding "
                                       "comparison (<= 1 skips it)")
-    serve_bench_cmd.add_argument("--store", default=None,
+    serve_bench_cmd.add_argument("--store", default=None, type=_store_url,
                                  help="store URL to bench against "
                                       "(default: throwaway SQLite "
                                       "files per leg)")

@@ -13,8 +13,8 @@ is the *serving* representation of documents:
   derived from inferred chains, whole subtrees that cannot extend any
   kept chain are skipped at parse time, emitting ``t|L`` directly
   (Theorem 3.2 licenses evaluating on the projection);
-* :mod:`~repro.docstore.backend` -- SQLite persistence of the node
-  table so served documents survive restarts without a re-parse;
+* node-table persistence lives in :mod:`repro.storage`, so served
+  documents survive restarts without a re-parse;
 * :mod:`~repro.docstore.axes` -- per-axis accelerators (interval range
   scans) behind the evaluator's transparent fast path;
 * :mod:`~repro.docstore.adapter` -- migration glue between dict-store
@@ -27,13 +27,10 @@ is the *serving* representation of documents:
 """
 
 from .adapter import apply_update_indexed, to_indexed, to_tree
-from .backend import DocumentBackend, StoredDocument
 from .encode import IndexedStore, IndexedStoreBuilder, IndexedTree
 from .streamload import LoadResult, load_path, load_xml
 
 __all__ = [
-    "DocumentBackend",
-    "StoredDocument",
     "IndexedStore",
     "IndexedStoreBuilder",
     "IndexedTree",

@@ -14,8 +14,8 @@ The post-order rank is derived, not stored: ``post = pre + size - 1 -
 level`` (the standard identity of the pre/post plane used by XPath
 accelerators).  The encoding is built in one streaming pass by
 :class:`IndexedStoreBuilder` (also the sink of the projected bulk
-loader) and persisted row-per-node by
-:class:`~repro.docstore.backend.DocumentBackend`.
+loader) and persisted row-per-node by every
+:class:`~repro.storage.base.DocumentStore` backend.
 
 :class:`IndexedStore` is duck-type compatible with the Section-2
 :class:`~repro.xmldm.store.Store` -- ``typ``/``node_chain``/``children``

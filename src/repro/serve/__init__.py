@@ -6,8 +6,8 @@ asyncio server (:mod:`.server`) whose ``analyze`` endpoint answers
 memoized pairs straight from the pair memo and funnels the rest
 through a micro-batching admission queue (:mod:`.batching`) into
 coalesced ``analyze_matrix`` calls, with every
-verdict written through to a restart-surviving SQLite store
-(:mod:`.store`) and schemas hosted in an LRU-bounded registry
+verdict written through to the backend its store URL names
+(:mod:`repro.storage`) and schemas hosted in an LRU-bounded registry
 (:mod:`.registry`).
 
 With ``shards > 1`` the service becomes a schema-affinity **router**
@@ -42,7 +42,6 @@ from .server import (
     run_service,
 )
 from .sharding import ShardLink, builtin_digest, shard_for
-from .store import VerdictStore
 
 __all__ = [
     "ANALYSIS_MODES",
@@ -58,7 +57,6 @@ __all__ = [
     "ShardLink",
     "ShardedService",
     "UnknownSchemaError",
-    "VerdictStore",
     "WireVerdict",
     "builtin_digest",
     "decode_request",

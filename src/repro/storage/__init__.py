@@ -10,16 +10,11 @@ A single **store URL** selects where verdicts and documents live::
 :func:`open_store` turns a URL into a :class:`StorageBackend` whose
 ``.verdicts`` (:class:`~repro.storage.base.VerdictKV`) and
 ``.documents`` (:class:`~repro.storage.base.DocumentStore`) facets
-share one connection.  The serve layer resolves its CLI flags through
-:func:`serve_storage_plan` / :func:`open_storage_plan`, which keep the
-legacy plain-path spellings (``--store x.db``, ``--doc-store y.db``)
-working with their historical semantics while URLs get the unified
-behavior (one database holding both facets).  See ``docs/STORAGE.md``.
+share one connection.  See ``docs/STORAGE.md``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .base import (
@@ -39,23 +34,17 @@ __all__ = [
     "BackendSpec",
     "DocumentStore",
     "SCHEMES",
-    "ServeStorage",
     "StepSpec",
     "StorageBackend",
-    "StoragePlan",
     "StoredDocument",
     "VerdictKV",
     "check_steps",
     "compact_store",
     "compile_steps_sql",
-    "is_store_url",
     "materialize",
     "node_rows",
-    "normalize_store_flags",
-    "open_storage_plan",
     "open_store",
     "parse_store_url",
-    "serve_storage_plan",
 ]
 
 #: URL schemes :func:`parse_store_url` accepts (``postgres://`` is
@@ -73,19 +62,19 @@ class BackendSpec:
     target: str
 
 
-def is_store_url(value: str) -> bool:
-    """Whether ``value`` spells a store URL (vs a legacy plain
-    path)."""
-    return "://" in value
-
-
 def parse_store_url(url: str) -> BackendSpec:
     """Parse a store URL into a :class:`BackendSpec`.
 
     SQLAlchemy path convention: ``sqlite:///x.db`` is the *relative*
     path ``x.db``; ``sqlite:////var/x.db`` is absolute.  Raises
-    :class:`ValueError` on an unknown scheme or malformed URL.
+    :class:`ValueError` on a plain path, an unknown scheme or a
+    malformed URL.
     """
+    if "://" not in url:
+        raise ValueError(
+            f"{url!r} is not a store URL; for a SQLite file use "
+            f"'sqlite:///{url}' (see docs/STORAGE.md)"
+        )
     if url == "memory://":
         return BackendSpec("memory", ":memory:")
     if url.startswith("memory://"):
@@ -107,15 +96,17 @@ def parse_store_url(url: str) -> BackendSpec:
     if url.startswith("postgresql://") or url.startswith("postgres://"):
         dsn = url.replace("postgres://", "postgresql://", 1)
         return BackendSpec("postgresql", dsn)
-    scheme = url.split("://", 1)[0] if "://" in url else url
+    scheme = url.split("://", 1)[0]
     raise ValueError(
         f"unknown store URL scheme {scheme!r} (expected one of: "
         + ", ".join(SCHEMES) + ")"
     )
 
 
-def _open_spec(spec: BackendSpec) -> StorageBackend:
-    """Open the unified backend for one parsed spec."""
+def open_store(url: str) -> StorageBackend:
+    """Open the :class:`StorageBackend` a store URL names (see
+    :func:`parse_store_url` for the accepted spellings)."""
+    spec = parse_store_url(url)
     if spec.kind == "memory":
         from .memory import MemoryBackend
 
@@ -124,178 +115,6 @@ def _open_spec(spec: BackendSpec) -> StorageBackend:
         from .sqlite import SqliteBackend
 
         return SqliteBackend(spec.target)
-    if spec.kind == "postgresql":
-        from .postgres import PgBackend
+    from .postgres import PgBackend
 
-        return PgBackend(spec.target)
-    raise ValueError(f"unknown backend kind {spec.kind!r}")
-
-
-def open_store(url: str) -> StorageBackend:
-    """Open a :class:`StorageBackend` from a store URL.
-
-    For convenience, ``":memory:"`` (and ``""``) open the memory
-    backend and a plain path opens that SQLite file, so the facade
-    accepts both URL and legacy spellings.
-    """
-    if url in ("", ":memory:"):
-        return _open_spec(BackendSpec("memory", ":memory:"))
-    if not is_store_url(url):
-        return _open_spec(BackendSpec("sqlite", url))
-    return _open_spec(parse_store_url(url))
-
-
-@dataclass(frozen=True)
-class StoragePlan:
-    """Resolved storage wiring for a service.
-
-    ``verdicts`` is always set; ``documents`` is ``None`` when the
-    service runs without a document store (the legacy default).
-    ``unified`` records that one URL supplied both facets, so they
-    must share a single backend instance.
-    """
-
-    verdicts: BackendSpec
-    documents: BackendSpec | None
-    unified: bool
-
-
-def serve_storage_plan(store_path: str,
-                       doc_store_path: str = "") -> StoragePlan:
-    """Resolve the serve-layer flag pair into a :class:`StoragePlan`.
-
-    Semantics (pinned by ``tests/serve/test_store_url.py``):
-
-    * ``store_path`` empty / ``":memory:"`` -> ephemeral memory
-      verdicts, no documents (historical default);
-    * ``store_path`` a URL -> **unified**: one backend serves verdicts
-      *and* documents;
-    * ``store_path`` a plain path -> legacy: SQLite verdicts only;
-    * ``doc_store_path`` (path or URL), when set, supplies/overrides
-      the documents facet.
-    """
-    if store_path in ("", ":memory:"):
-        verdicts = BackendSpec("memory", ":memory:")
-        unified = False
-        documents = None
-    elif is_store_url(store_path):
-        verdicts = parse_store_url(store_path)
-        unified = verdicts.kind != "memory"
-        documents = verdicts if unified else None
-    else:
-        verdicts = BackendSpec("sqlite", store_path)
-        unified = False
-        documents = None
-    if doc_store_path:
-        documents = parse_store_url(doc_store_path) \
-            if is_store_url(doc_store_path) \
-            else BackendSpec("sqlite", doc_store_path)
-        if documents != verdicts:
-            unified = False
-    return StoragePlan(verdicts, documents, unified)
-
-
-class ServeStorage:
-    """Opened storage for one service: the verdict facet, the optional
-    document facet, and one ``close()`` for everything underneath."""
-
-    def __init__(self, verdicts, documents, closers):
-        #: The :class:`VerdictKV` the engine attaches.
-        self.verdicts = verdicts
-        #: The :class:`DocumentStore`, or ``None``.
-        self.documents = documents
-        self._closers = list(closers)
-
-    def close(self) -> None:
-        """Close every underlying store/backend once (idempotent)."""
-        closers, self._closers = self._closers, []
-        for closer in closers:
-            closer.close()
-
-    def __enter__(self):
-        """Context-manager entry (closes on exit)."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Close on scope exit."""
-        self.close()
-
-
-def open_storage_plan(plan: StoragePlan) -> ServeStorage:
-    """Open the backends a :class:`StoragePlan` calls for.
-
-    A unified plan opens ONE backend shared by both facets.  Legacy
-    plain-path specs open standalone facets so a verdicts-only file
-    never grows document tables (and vice versa) -- byte-compatible
-    with the stores the deprecated flags produced.
-    """
-    if plan.unified:
-        backend = _open_spec(plan.verdicts)
-        return ServeStorage(backend.verdicts, backend.documents,
-                            [backend])
-    closers = []
-    if plan.verdicts.kind == "memory":
-        from .memory import MemoryVerdictKV
-
-        verdicts = MemoryVerdictKV()
-        closers.append(verdicts)
-    elif plan.verdicts.kind == "sqlite":
-        from .sqlite import SqliteVerdictKV
-
-        verdicts = SqliteVerdictKV(plan.verdicts.target)
-        closers.append(verdicts)
-    else:
-        backend = _open_spec(plan.verdicts)
-        verdicts = backend.verdicts
-        closers.append(backend)
-    documents = None
-    if plan.documents is not None:
-        if plan.documents.kind == "memory":
-            from .memory import MemoryDocumentStore
-
-            documents = MemoryDocumentStore()
-            closers.append(documents)
-        elif plan.documents.kind == "sqlite":
-            from .sqlite import SqliteDocumentStore
-
-            documents = SqliteDocumentStore(plan.documents.target)
-            closers.append(documents)
-        else:
-            backend = _open_spec(plan.documents)
-            documents = backend.documents
-            closers.append(backend)
-    return ServeStorage(verdicts, documents, closers)
-
-
-def normalize_store_flags(store: str, doc_store: str, *,
-                          doc_flag: str = "--doc-store",
-                          stacklevel: int = 3) -> tuple[str, str]:
-    """Warn about deprecated flag spellings.
-
-    Called by the CLI layer only, so programmatic ``ServeConfig``
-    construction never warns.  Plain-path ``--store`` values and any
-    ``--doc-store`` / ``--docstore`` use (``doc_flag`` names the
-    spelling of the emitting command) get a :class:`DeprecationWarning`
-    naming the store-URL replacement; values pass through unchanged
-    (the legacy semantics stay supported for one release).  The
-    warning is forced visible (Python hides ``DeprecationWarning``
-    outside ``__main__`` by default, and a CLI user must actually see
-    the migration line).
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", DeprecationWarning)
-        if store not in ("", ":memory:") and not is_store_url(store):
-            warnings.warn(
-                f"plain-path --store {store!r} is deprecated; use the "
-                f"store URL 'sqlite:///{store}' (which also persists "
-                "documents). See docs/STORAGE.md for migration.",
-                DeprecationWarning, stacklevel=stacklevel,
-            )
-        if doc_store:
-            warnings.warn(
-                f"{doc_flag} is deprecated; pass one unified store URL "
-                f"via --store (e.g. 'sqlite:///{doc_store}'). "
-                "See docs/STORAGE.md for migration.",
-                DeprecationWarning, stacklevel=stacklevel,
-            )
-    return store, doc_store
+    return PgBackend(spec.target)

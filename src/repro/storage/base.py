@@ -34,15 +34,9 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ..docstore.encode import IndexedStore, IndexedTree
 from ..obs.metrics import STORE_OP_SECONDS
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.docstore's
-    # package init imports the legacy DocumentBackend adapter, which
-    # imports this module back (a cycle a module-level import would
-    # trip when repro.storage loads first).
-    from ..docstore.encode import IndexedStore, IndexedTree
 
 #: Node-table row shape shared by every backend:
 #: ``(loc, parent, level, size, tag, text)`` in canonical pre-order.
@@ -255,8 +249,6 @@ def compact_store(tree: IndexedTree) -> IndexedStore:
     as-is; mutated trees (overflow nodes, garbage) are rebuilt so the
     persisted table stays dense.
     """
-    from ..docstore.encode import IndexedStore
-
     store = tree.store
     store.reencode()
     n = len(store._tags)
@@ -304,8 +296,6 @@ def materialize(rows, doc: str) -> IndexedTree:
     pre-order; raises :class:`ValueError` on a non-dense table (which
     can only mean corruption, whatever the backend).
     """
-    from ..docstore.encode import IndexedStore, IndexedTree
-
     store = IndexedStore()
     tags, texts, kids = store._tags, store._texts, store._kids
     parents, levels, sizes = store._parent, store._level, store._size

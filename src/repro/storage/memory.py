@@ -2,7 +2,7 @@
 
 ``memory://`` gives the exact storage semantics of the SQL backends --
 same row codec, same counters, same traversals -- without any file, so
-tests and ephemeral services (``--store :memory:``) exercise identical
+tests and ephemeral services (``--store memory://``) exercise identical
 code paths.  State is per-process: two processes opening ``memory://``
 see independent stores (``shared = False``), which is why the sharded
 router aggregates memory-store stats by *sum* and shared-store stats

@@ -1,11 +1,10 @@
 """SQLite storage backend: one WAL database for verdicts + documents.
 
-This module owns every pragma the repo applies to a SQLite store --
-previously duplicated (with drift) between ``serve/store.py`` and
-``docstore/backend.py`` -- in one :func:`connect` factory.  WAL keeps
-readers unblocked and makes group commit cheap; it also supports
-writers in *separate processes*, which is what lets every shard of a
-sharded service share one store file.  A shard holding a
+This module owns every pragma the repo applies to a SQLite store in
+one :func:`connect` factory.  WAL keeps readers unblocked and makes
+group commit cheap; it also supports writers in *separate processes*,
+which is what lets every shard of a sharded service share one store
+file.  A shard holding a
 :meth:`~SqliteVerdictKV.deferred` group-commit transaction briefly
 blocks other shards' commits, so the write lock gets a generous
 ``busy_timeout`` instead of surfacing ``SQLITE_BUSY``; ``mmap_size``
@@ -38,8 +37,8 @@ from .base import (
 
 #: Pragmas applied to every file-backed connection (``":memory:"``
 #: databases skip them: WAL and mmap are meaningless without a file).
-#: Pinned by ``tests/storage/test_conformance.py`` so the two legacy
-#: stores can never drift apart again.
+#: Pinned by ``tests/storage/test_conformance.py`` so the verdict and
+#: document stores can never drift apart.
 PRAGMAS = (
     ("journal_mode", "wal"),
     ("busy_timeout", 10000),

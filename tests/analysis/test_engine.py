@@ -360,11 +360,6 @@ class TestPeekPair:
 
 
 class TestEngineStats:
-    def test_cachestats_alias_survives(self):
-        from repro.analysis import CacheStats, EngineStats
-
-        assert CacheStats is EngineStats
-
     def test_as_dict_is_json_ready(self, bib):
         import json
 
@@ -382,7 +377,7 @@ class TestEngineStats:
 class TestBackwardsCompat:
     def test_legacy_signature_and_attributes(self, bib):
         engine = AnalysisEngine(bib, 4)
-        assert engine.k == 4
+        assert engine.default_k == 4
         assert engine.universe.depth_cap >= 1
         chains = engine.queries.infer_root(
             engine._query("//title")[1], "$doc"
@@ -393,11 +388,6 @@ class TestBackwardsCompat:
         engine = AnalysisEngine(bib)
         with pytest.raises(ValueError):
             _ = engine.universe
-
-    def test_importable_from_independence(self):
-        from repro.analysis.independence import AnalysisEngine as Legacy
-
-        assert Legacy is AnalysisEngine
 
     def test_independence_module_getattr_rejects_unknown(self):
         import repro.analysis.independence as independence

@@ -1,7 +1,7 @@
 """Systematic independence verdicts across operators, axes and schemas."""
 
+from repro.analysis.engine import AnalysisEngine
 from repro.analysis.independence import (
-    AnalysisEngine,
     analyze,
     depth_cap_for,
     is_independent,

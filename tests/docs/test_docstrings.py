@@ -18,7 +18,6 @@ import repro.analysis.engine
 import repro.api
 import repro.docstore.adapter
 import repro.docstore.axes
-import repro.docstore.backend
 import repro.docstore.encode
 import repro.docstore.pushdown
 import repro.docstore.streamload
@@ -33,7 +32,6 @@ import repro.serve.protocol
 import repro.serve.registry
 import repro.serve.server
 import repro.serve.sharding
-import repro.serve.store
 import repro.storage
 import repro.storage.base
 import repro.storage.memory
@@ -45,7 +43,6 @@ MODULES = [
     repro.api,
     repro.docstore.adapter,
     repro.docstore.axes,
-    repro.docstore.backend,
     repro.docstore.encode,
     repro.docstore.pushdown,
     repro.docstore.streamload,
@@ -60,7 +57,6 @@ MODULES = [
     repro.serve.registry,
     repro.serve.server,
     repro.serve.sharding,
-    repro.serve.store,
     repro.storage,
     repro.storage.base,
     repro.storage.memory,

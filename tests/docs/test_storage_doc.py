@@ -3,9 +3,9 @@
 The storage document's load-bearing claims are diffed against their
 sources of truth: the URL scheme list against
 ``repro.storage.SCHEMES``, the pragma table against
-``repro.storage.sqlite.PRAGMAS``, and the migration section against
-the deprecation warnings the CLI actually emits.  The ``>>>`` examples
-run via ``tests/docs/test_doc_examples.py``.
+``repro.storage.sqlite.PRAGMAS``, and the removal note against the
+error a plain-path ``--store`` gets.  The ``>>>`` examples run via
+``tests/docs/test_doc_examples.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.storage import SCHEMES, normalize_store_flags
+from repro.storage import SCHEMES, parse_store_url
 from repro.storage.sqlite import PRAGMAS
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "STORAGE.md"
@@ -51,23 +51,24 @@ def test_pragma_table_matches_code():
 
 
 def test_migration_documents_deprecated_spellings():
-    """Every deprecated flag spelling has a migration row."""
+    """The removal note names every removed flag and the URL that
+    replaces a plain path."""
     text = DOC.read_text()
+    note = text[text.index("## Removed spellings"):]
     for spelling in ("--store verdicts.db", "--doc-store", "--docstore",
-                     "sqlite:///verdicts.db", "DeprecationWarning"):
-        assert spelling in text, (
-            f"docs/STORAGE.md migration section lost {spelling!r}"
+                     "sqlite:///verdicts.db"):
+        assert spelling in note, (
+            f"docs/STORAGE.md removal note lost {spelling!r}"
         )
 
 
-def test_deprecation_warnings_point_here():
-    """The warnings the CLI emits name this document, so following
-    them always lands on current migration guidance."""
-    with pytest.warns(DeprecationWarning) as caught:
-        normalize_store_flags("verdicts.db", "docs.db", stacklevel=1)
-    assert len(caught) == 2
-    for warning in caught:
-        assert "docs/STORAGE.md" in str(warning.message)
+def test_plain_path_error_points_here():
+    """A plain-path ``--store`` is refused with an error naming its
+    URL spelling and this document."""
+    with pytest.raises(ValueError) as refused:
+        parse_store_url("verdicts.db")
+    assert "'sqlite:///verdicts.db'" in str(refused.value)
+    assert "docs/STORAGE.md" in str(refused.value)
 
 
 def test_cross_references():

@@ -8,7 +8,7 @@ import pytest
 
 from repro.serve.batching import MicroBatcher
 from repro.serve.registry import SchemaRegistry
-from repro.serve.store import VerdictStore
+from repro.storage.sqlite import SqliteVerdictKV
 
 PAIRS = [
     ("//title", "delete //price"),
@@ -153,7 +153,7 @@ class TestCoalescing:
         ]
 
         async def run():
-            store = VerdictStore(str(tmp_path / "verdicts.sqlite"))
+            store = SqliteVerdictKV(str(tmp_path / "verdicts.sqlite"))
             registry, calls = _counting_registry(store=store)
             batcher = MicroBatcher(registry, window=0.05)
             try:
@@ -180,7 +180,7 @@ class TestCoalescing:
 
     def test_group_commit_wraps_flush(self, tmp_path):
         async def run():
-            store = VerdictStore(str(tmp_path / "verdicts.sqlite"))
+            store = SqliteVerdictKV(str(tmp_path / "verdicts.sqlite"))
             registry, calls = _counting_registry(store=store)
             batcher = MicroBatcher(registry, window=0.05)
             try:

@@ -88,7 +88,7 @@ def test_persisted_document_survives_restart(tmp_path, xmark_file):
 
     async def first_run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(
@@ -108,7 +108,7 @@ def test_persisted_document_survives_restart(tmp_path, xmark_file):
 
     async def second_run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 # Same doc id, no source: served from the node table.
@@ -139,7 +139,7 @@ def test_generated_documents_persist_too(tmp_path):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 generated = await client.call(
@@ -149,7 +149,7 @@ def test_generated_documents_persist_too(tmp_path):
                 stats = await client.call("stats")
                 assert stats["docstore"]["saves"] == 1
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 reloaded = await client.call("doc.load", schema="xmark",
@@ -188,7 +188,7 @@ def test_from_store_rejects_mismatched_schema(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            preload=("xmark", "bib"), doc_store_path=db,
+            preload=("xmark", "bib"), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call("doc.load", schema="xmark",
@@ -219,7 +219,7 @@ def test_named_reload_miss_is_an_error_not_generation(tmp_path):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 missing = await client.call("doc.load", schema="xmark",
@@ -274,7 +274,7 @@ def test_persistence_key_survives_topology_change(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(
@@ -283,7 +283,7 @@ def test_persistence_key_survives_topology_change(tmp_path, xmark_file):
                 )
                 assert loaded["ok"] and loaded["doc"] == "topo"
         async with running_service(
-            shards=2, preload=("xmark",), doc_store_path=db,
+            shards=2, preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 reloaded = await client.call("doc.load",
@@ -334,7 +334,7 @@ def test_store_hit_rejects_uncovered_projection(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call(
@@ -343,7 +343,7 @@ def test_store_hit_rejects_uncovered_projection(tmp_path, xmark_file):
                     project_for=["//emailaddress", "//person/name"],
                 )
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 # Covered subset: served from the store.
@@ -373,7 +373,7 @@ def test_malformed_project_for_rejected_on_every_branch(tmp_path,
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call("doc.load", schema="xmark",
@@ -396,7 +396,8 @@ def test_malformed_project_for_rejected_on_every_branch(tmp_path,
 
 def test_named_reload_without_docstore_errors(xmark_file):
     """doc.load naming a document with no source on a service without
-    --doc-store must refuse, not silently generate under that name."""
+    a document store (memory://) must refuse, not silently generate
+    under that name."""
 
     async def run():
         async with running_service(preload=("xmark",)) as (_, host, port):
@@ -416,7 +417,7 @@ def test_named_reload_without_docstore_errors(xmark_file):
 
 def test_cli_persisted_projection_guard_over_the_wire(tmp_path,
                                                       xmark_file):
-    """`repro load --docstore` and the served reload agree on the
+    """`repro load --store` and the served reload agree on the
     projection-coverage meta (the two persistence writers share one
     format)."""
     from repro.cli import main as cli_main
@@ -425,13 +426,13 @@ def test_cli_persisted_projection_guard_over_the_wire(tmp_path,
     code = cli_main([
         "load", xmark_file, "--builtin", "xmark",
         "--project", "//emailaddress",
-        "--docstore", db, "--doc", "cli-doc",
+        "--store", f"sqlite:///{db}", "--doc", "cli-doc",
     ])
     assert code == 0
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 covered = await client.call(
@@ -456,7 +457,7 @@ def test_explicit_generation_not_shadowed_by_store(tmp_path):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 first = await client.call("doc.load", schema="xmark",
@@ -488,7 +489,7 @@ def test_doc_query_modes_and_stats(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call("doc.load", schema="xmark",
@@ -501,7 +502,7 @@ def test_doc_query_modes_and_stats(tmp_path, xmark_file):
                 assert not warm["from_store"]
                 assert warm["count"] == len(warm["answers"]) > 0
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 pushed = await client.call(
@@ -547,7 +548,7 @@ def test_doc_query_rejects_uncovered_projection(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call(
@@ -555,7 +556,7 @@ def test_doc_query_rejects_uncovered_projection(tmp_path, xmark_file):
                     doc="proj", project_for=["//emailaddress"],
                 )
         async with running_service(
-            preload=("xmark",), doc_store_path=db,
+            preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 covered = await client.call(
@@ -585,7 +586,7 @@ def test_doc_query_error_paths(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            preload=("xmark", "bib"), doc_store_path=db,
+            preload=("xmark", "bib"), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 await client.call("doc.load", schema="xmark",
@@ -609,7 +610,7 @@ def test_doc_query_error_paths(tmp_path, xmark_file):
                 assert not bad_limit["ok"]
                 assert bad_limit["error"]["code"] == "bad-params"
         async with running_service(
-            preload=("xmark", "bib"), doc_store_path=db,
+            preload=("xmark", "bib"), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 # Persisted under xmark; querying as bib must refuse
@@ -653,7 +654,7 @@ def test_sharded_stats_aggregate_docstore(tmp_path, xmark_file):
 
     async def run():
         async with running_service(
-            shards=2, preload=("xmark",), doc_store_path=db,
+            shards=2, preload=("xmark",), store_path=f"sqlite:///{db}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(

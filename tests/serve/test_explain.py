@@ -130,10 +130,12 @@ def test_explained_matrix_reports_per_pair_engine_decisions():
         {"//title", "//author"}
 
 
-def test_doc_load_provenance_and_doc_query_answer_paths():
+def test_doc_load_provenance_and_doc_query_answer_paths(tmp_path):
+    store = f"sqlite:///{tmp_path}/docs.sqlite"
+
     async def run():
         async with running_service(
-            preload=("bib",), doc_store_path="memory://",
+            preload=("bib",), store_path=store,
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 loaded = await client.call(
@@ -172,7 +174,7 @@ def test_doc_load_provenance_and_doc_query_answer_paths():
     assert compiled["decision"] == "compiled"
     assert compiled["detail"]["steps"] == \
         ["descendant-child::name(title)"]
-    assert compiled["detail"]["engine"] == "tree"  # memory store
+    assert compiled["detail"]["engine"] == "sql"
     assert _layer(pushed["plan"], "answer")["decision"] == "pushdown"
 
     assert _layer(reloaded["plan"], "docstore")["decision"] == \
@@ -235,9 +237,9 @@ def test_slow_ring_entries_arrive_with_their_plan():
 
 
 def test_sharded_plans_match_unsharded_modulo_router_fold(tmp_path):
-    async def drive(doc_store, **config):
+    async def drive(store, **config):
         async with running_service(
-            preload=("bib",), doc_store_path=doc_store, **config
+            preload=("bib",), store_path=store, **config
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 analyze = await client.call("analyze", explain=True,
@@ -252,8 +254,9 @@ def test_sharded_plans_match_unsharded_modulo_router_fold(tmp_path):
                 )
         return analyze, loaded, query
 
-    single = asyncio.run(drive(str(tmp_path / "single.db")))
-    sharded = asyncio.run(drive(str(tmp_path / "sharded.db"), shards=2))
+    single = asyncio.run(drive(f"sqlite:///{tmp_path}/single.db"))
+    sharded = asyncio.run(drive(f"sqlite:///{tmp_path}/sharded.db",
+                                shards=2))
     for flat, routed in zip(single, sharded):
         assert routed["ok"], routed
         # The router's own plan holds exactly its routing decision

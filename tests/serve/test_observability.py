@@ -171,7 +171,7 @@ def test_sharded_metrics_merge_equals_sum_of_shards(tmp_path):
     async def run():
         async with running_service(
             preload=("bib",), shards=2,
-            store_path=str(tmp_path / "verdicts.sqlite"),
+            store_path=f"sqlite:///{tmp_path / 'verdicts.sqlite'}",
         ) as (_, host, port):
             async with ServiceClient(host, port) as client:
                 before = await client.call("metrics")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.schema import DTD
 from repro.serve.registry import SchemaRegistry, UnknownSchemaError
-from repro.serve.store import VerdictStore
+from repro.storage.sqlite import SqliteVerdictKV
 
 
 def _distinct_schema(n: int) -> DTD:
@@ -46,7 +46,7 @@ class TestRegistration:
             registry.resolve("nope")
 
     def test_store_attached_to_new_engines(self):
-        store = VerdictStore()
+        store = SqliteVerdictKV()
         registry = SchemaRegistry(store=store)
         registry.register(_distinct_schema(1))
         digest = registry.resolve(
@@ -100,7 +100,7 @@ class TestLRU:
 
     def test_evicted_schema_warm_starts_from_store(self):
         # Eviction costs RAM only: the store still has the verdicts.
-        store = VerdictStore()
+        store = SqliteVerdictKV()
         registry = SchemaRegistry(store=store, max_schemas=1)
         digest = registry.register(_distinct_schema(1))
         registry.engine(digest).analyze_pair(

@@ -275,7 +275,7 @@ class TestShardedServiceEndToEnd:
     def test_cross_shard_warm_start(self, tmp_path):
         """Verdicts computed by shard processes serve a different
         topology from the shared store without rebuilding universes."""
-        store = str(tmp_path / "verdicts.sqlite")
+        store = f"sqlite:///{tmp_path / 'verdicts.sqlite'}"
         spec_params = _gen_register_params()
 
         async def sharded_run():
@@ -321,7 +321,7 @@ class TestShardedServiceEndToEnd:
     def test_loadgen_multischema_run(self, tmp_path):
         """The two-schema loadgen workload drives a sharded service
         with zero errors and traffic on both shards."""
-        store = str(tmp_path / "verdicts.sqlite")
+        store = f"sqlite:///{tmp_path / 'verdicts.sqlite'}"
 
         async def run():
             async with running_service(

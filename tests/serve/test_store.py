@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.engine import AnalysisEngine, PairVerdict
-from repro.serve.store import VerdictStore
+from repro.storage.sqlite import SqliteVerdictKV
 
 
 def _verdict(independent: bool = True) -> PairVerdict:
@@ -13,11 +13,11 @@ def _verdict(independent: bool = True) -> PairVerdict:
 
 class TestRoundTrip:
     def test_get_returns_none_on_miss(self):
-        with VerdictStore() as store:
+        with SqliteVerdictKV() as store:
             assert store.get("d", 1, "q", "u") is None
 
     def test_put_then_get(self):
-        with VerdictStore() as store:
+        with SqliteVerdictKV() as store:
             store.put("d", 3, "q", "u", _verdict())
             verdict = store.get("d", 3, "q", "u")
             assert verdict.independent is True
@@ -26,7 +26,7 @@ class TestRoundTrip:
             assert verdict.analysis_seconds == 0.0
 
     def test_key_is_four_dimensional(self):
-        with VerdictStore() as store:
+        with SqliteVerdictKV() as store:
             store.put("d", 3, "q", "u", _verdict(True))
             store.put("d", 4, "q", "u", _verdict(False))
             store.put("e", 3, "q", "u", _verdict(False))
@@ -36,7 +36,7 @@ class TestRoundTrip:
             assert store.get("d", 3, "q", "other") is None
 
     def test_count_and_stats(self):
-        with VerdictStore() as store:
+        with SqliteVerdictKV() as store:
             store.put("d", 3, "q", "u", _verdict())
             store.put("d", 3, "q2", "u", _verdict())
             store.put("e", 3, "q", "u", _verdict())
@@ -46,7 +46,7 @@ class TestRoundTrip:
 
     def test_deferred_commits_once_and_nests(self, tmp_path):
         path = str(tmp_path / "verdicts.sqlite")
-        with VerdictStore(path) as store:
+        with SqliteVerdictKV(path) as store:
             with store.deferred():
                 with store.deferred():
                     store.put("d", 3, "q", "u", _verdict())
@@ -57,15 +57,15 @@ class TestRoundTrip:
 class TestPersistence:
     def test_rows_survive_reopen(self, tmp_path):
         path = str(tmp_path / "verdicts.sqlite")
-        with VerdictStore(path) as store:
+        with SqliteVerdictKV(path) as store:
             store.put("d", 3, "q", "u", _verdict(False))
-        with VerdictStore(path) as reopened:
+        with SqliteVerdictKV(path) as reopened:
             verdict = reopened.get("d", 3, "q", "u")
             assert verdict is not None
             assert not verdict.independent
 
     def test_close_is_idempotent(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "verdicts.sqlite"))
+        store = SqliteVerdictKV(str(tmp_path / "verdicts.sqlite"))
         store.close()
         store.close()
 
@@ -84,7 +84,7 @@ class TestEngineWarmStart:
     def test_cold_engine_serves_from_store_without_universes(
             self, bib, tmp_path):
         path = str(tmp_path / "verdicts.sqlite")
-        with VerdictStore(path) as store:
+        with SqliteVerdictKV(path) as store:
             warm = AnalysisEngine(bib)
             warm.attach_store(store)
             expected = [
@@ -95,7 +95,7 @@ class TestEngineWarmStart:
             assert warm.stats.universes_built >= 1
 
         # "Restart": a brand-new engine, a reopened store file.
-        with VerdictStore(path) as store:
+        with SqliteVerdictKV(path) as store:
             cold = AnalysisEngine(bib)
             cold.attach_store(store)
             served = [
@@ -110,7 +110,7 @@ class TestEngineWarmStart:
 
     def test_store_hit_respects_explicit_k(self, bib, tmp_path):
         path = str(tmp_path / "verdicts.sqlite")
-        with VerdictStore(path) as store:
+        with SqliteVerdictKV(path) as store:
             warm = AnalysisEngine(bib)
             warm.attach_store(store)
             derived = warm.analyze_pair("//title", "delete //price",
@@ -133,7 +133,7 @@ class TestEngineWarmStart:
         # witness-less Conflict; a store-served one must agree in
         # truthiness so `if report.conflicts:` consumers behave the
         # same on a warm restart.
-        store = VerdictStore()
+        store = SqliteVerdictKV()
         warm = AnalysisEngine(bib)
         warm.attach_store(store)
         computed = warm.analyze_pair("//title", "delete //title",
@@ -154,7 +154,7 @@ class TestEngineWarmStart:
         assert clean.independent and not clean.conflicts
 
     def test_witness_requests_bypass_the_store(self, bib):
-        store = VerdictStore()
+        store = SqliteVerdictKV()
         engine = AnalysisEngine(bib)
         engine.attach_store(store)
         engine.analyze_pair("//title", "delete //title")
@@ -163,7 +163,7 @@ class TestEngineWarmStart:
         assert store.count() == 0
 
     def test_store_backed_verdicts_match_fresh_engine(self, bib):
-        store = VerdictStore()
+        store = SqliteVerdictKV()
         first = AnalysisEngine(bib)
         first.attach_store(store)
         second = AnalysisEngine(bib)  # no store: ground truth

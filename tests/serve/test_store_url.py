@@ -1,18 +1,14 @@
-"""Store-URL configs serve byte-identically to the legacy flag pair.
+"""A service opens its storage from one store URL.
 
-The acceptance bar for the unified ``--store URL`` API: a service on
-``--store sqlite:///x.db`` and a service on the deprecated spellings
-(plain-path ``--store`` + ``--doc-store``) must report identical
-``/stats`` storage counters for the same workload -- same verdict
-counts, same docstore hit/miss/save accounting, same document detail.
-Only the reported ``path`` strings may differ (they echo the flags).
+A file or server URL (``sqlite:///x.db``) gives the service verdicts
+*and* documents in one backend, and ``/stats`` echoes its target;
+``memory://`` (the default) keeps verdicts per process and persists no
+documents.
 """
 
 from __future__ import annotations
 
 import asyncio
-
-from repro.storage import serve_storage_plan
 
 from .util import ServiceClient, running_service
 
@@ -49,34 +45,6 @@ async def _drive(**config_kwargs) -> dict:
             return stats
 
 
-def _storage_counters(stats: dict) -> dict:
-    """The storage-relevant ``/stats`` sections, paths redacted (the
-    path echoes the flag spelling; everything else must match)."""
-    store = dict(stats["store"])
-    docstore = dict(stats["docstore"])
-    store.pop("path", None)
-    docstore.pop("path", None)
-    return {
-        "store": store,
-        "docstore": docstore,
-        "documents": stats["documents"],
-        "documents_detail": stats["documents_detail"],
-    }
-
-
-def test_url_and_legacy_flag_counters_match(tmp_path):
-    """`--store sqlite:///x.db` == `--store a.db --doc-store b.db` on
-    every storage counter (paths aside)."""
-    unified = asyncio.run(_drive(
-        store_path=f"sqlite:///{tmp_path / 'unified.db'}",
-    ))
-    legacy = asyncio.run(_drive(
-        store_path=str(tmp_path / "verdicts.db"),
-        doc_store_path=str(tmp_path / "docs.db"),
-    ))
-    assert _storage_counters(unified) == _storage_counters(legacy)
-
-
 def test_url_reported_paths_echo_the_url(tmp_path):
     """The unified service reports its configured URL targets."""
     url = f"sqlite:///{tmp_path / 'unified.db'}"
@@ -85,10 +53,22 @@ def test_url_reported_paths_echo_the_url(tmp_path):
     assert stats["docstore"]["enabled"] is True
 
 
-def test_memory_url_matches_default_ephemeral(tmp_path):
-    """`memory://` is the URL spelling of the historical default: no
-    document store, ephemeral verdicts."""
-    plan_url = serve_storage_plan("memory://")
-    plan_default = serve_storage_plan(":memory:")
-    assert plan_url.verdicts == plan_default.verdicts
-    assert plan_url.documents is None is plan_default.documents
+def test_memory_url_matches_default_ephemeral():
+    """A ``memory://`` service, like the default one, keeps verdicts
+    but reports no document store."""
+
+    async def stats(**config_kwargs) -> dict:
+        async with running_service(preload=("bib",),
+                                   **config_kwargs) as (_, host, port):
+            async with ServiceClient(host, port) as client:
+                response = await client.call(
+                    "analyze", schema="bib", query="//title",
+                    update="delete //price",
+                )
+                assert response["ok"], response
+                return await client.call("stats")
+
+    for payload in (asyncio.run(stats(store_path="memory://")),
+                    asyncio.run(stats())):
+        assert payload["docstore"] == {"enabled": False}
+        assert payload["store"]["verdicts"] == 1

@@ -25,7 +25,7 @@ from repro.docstore.pushdown import (
     serialize_answers,
 )
 from repro.schema import bib_dtd, xmark_dtd
-from repro.storage import StepSpec, open_store
+from repro.storage import StepSpec, compile_steps_sql, open_store
 from repro.xmldm import generate_document, serialize
 
 PG_DSN = os.environ.get("REPRO_PG_DSN", "")
@@ -358,6 +358,17 @@ class TestRunStepsConformance:
     NESTED = ("<r><a>one<a><c>x</c><a><c>deep</c></a></a><c>top</c></a>"
               "<b><c>bc</c></b><a><c>last</c></a></r>")
 
+    #: Chains :func:`repro.storage.check_steps` rejects.
+    MALFORMED = ([],
+                 [StepSpec("parent", "name", "a")],
+                 [StepSpec("child", "bogus")],
+                 [StepSpec("child", "name")],
+                 [StepSpec("child", "text", "a")],
+                 [StepSpec("child", "name", "a", position=0)])
+
+    #: Placeholder of each SQL backend's dialect.
+    PLACEHOLDERS = {"sqlite": "?", "postgres": "%s"}
+
     @pytest.fixture()
     def persisted(self, make_backend):
         tree = _indexed(xmark_dtd(), 12_000, 4)
@@ -424,14 +435,32 @@ class TestRunStepsConformance:
     def test_malformed_chains_rejected(self, make_backend):
         documents = make_backend().documents
         documents.save("doc", _indexed(bib_dtd(), 2_000, 5), "d")
-        for bad in ([],
-                    [StepSpec("parent", "name", "a")],
-                    [StepSpec("child", "bogus")],
-                    [StepSpec("child", "name")],
-                    [StepSpec("child", "text", "a")],
-                    [StepSpec("child", "name", "a", position=0)]):
+        for bad in self.MALFORMED:
             with pytest.raises(ValueError):
                 documents.run_steps("doc", bad)
+
+    def test_explain_steps_names_the_answer_path(self, make_backend):
+        """Memory walks the tree; a SQL backend reports exactly the
+        statement :func:`compile_steps_sql` builds in its dialect."""
+        documents = make_backend().documents
+        steps = compile_query("//person/name")
+        for dedup in (False, True):
+            explained = documents.explain_steps("doc", steps, dedup=dedup)
+            if make_backend.kind == "memory":
+                assert explained["engine"] == "tree"
+                assert explained["sql"] is None
+                assert explained["params"] == []
+                continue
+            sql, params = compile_steps_sql(
+                "doc", steps, dedup=dedup,
+                placeholder=self.PLACEHOLDERS[make_backend.kind],
+            )
+            assert explained["engine"] == "sql"
+            assert explained["sql"] == sql
+            assert explained["params"] == list(params)
+        for bad in self.MALFORMED:
+            with pytest.raises(ValueError):
+                documents.explain_steps("doc", bad)
 
     def test_subtree_rows_round_trip(self, persisted):
         documents, tree = persisted
@@ -445,10 +474,10 @@ class TestRunStepsConformance:
 
 
 class TestSqlitePragmas:
-    """Satellite pin: the consolidated connection factory ends the
-    VerdictStore/DocumentBackend pragma drift -- every file-backed
-    sqlite connection (backend, legacy adapters alike) gets the same
-    pragmas."""
+    """The one connection factory gives every file-backed sqlite
+    connection the same pragmas, whether it backs a unified
+    :class:`SqliteBackend` or a standalone verdict or document
+    store."""
 
     def _pragmas(self, connection):
         from repro.storage.sqlite import PRAGMAS
@@ -471,22 +500,25 @@ class TestSqlitePragmas:
         }
 
     def test_every_file_connection_gets_them(self, tmp_path):
-        from repro.docstore.backend import DocumentBackend
-        from repro.serve.store import VerdictStore
-        from repro.storage.sqlite import PRAGMAS, SqliteBackend
+        from repro.storage.sqlite import (
+            PRAGMAS,
+            SqliteBackend,
+            SqliteDocumentStore,
+            SqliteVerdictKV,
+        )
 
         expected = dict(PRAGMAS)
         with SqliteBackend(str(tmp_path / "a.db")) as backend:
             assert self._pragmas(backend._connection) == expected
-        with VerdictStore(str(tmp_path / "b.db")) as store:
+        with SqliteVerdictKV(str(tmp_path / "b.db")) as store:
             assert self._pragmas(store._connection) == expected
-        with DocumentBackend(str(tmp_path / "c.db")) as docs:
+        with SqliteDocumentStore(str(tmp_path / "c.db")) as docs:
             assert self._pragmas(docs._conn) == expected
 
     def test_memory_connections_skip_file_pragmas(self):
-        from repro.serve.store import VerdictStore
+        from repro.storage.sqlite import SqliteVerdictKV
 
-        with VerdictStore() as store:
+        with SqliteVerdictKV() as store:
             mode = store._connection.execute(
                 "PRAGMA journal_mode"
             ).fetchone()[0]

@@ -176,7 +176,6 @@ class TestParserMatchesConfigs:
         assert args.host == config.host
         assert args.port == config.port
         assert args.store == config.store_path
-        assert args.doc_store == config.doc_store_path
         assert args.window / 1e3 == config.batch_window
         assert args.max_batch == config.max_batch
         assert args.mode == config.analysis_mode
@@ -279,18 +278,19 @@ class TestLoadCommand:
 
     def test_load_persists_into_docstore(self, xmark_file, tmp_path,
                                          capsys):
-        from repro.docstore.backend import DocumentBackend
+        from repro.storage.sqlite import SqliteDocumentStore
 
         db = str(tmp_path / "docs.sqlite")
         code = main([
             "load", xmark_file, "--builtin", "xmark",
             "--project", "//emailaddress",
-            "--docstore", db, "--doc", "cli-doc",
+            "--store", f"sqlite:///{db}", "--doc", "cli-doc",
         ])
         assert code == 0
-        assert "persisted" in capsys.readouterr().out
-        with DocumentBackend(db) as backend:
-            stored = backend.describe("cli-doc")
+        out = capsys.readouterr().out
+        assert "persisted" in out and f"sqlite:///{db}" in out
+        with SqliteDocumentStore(db) as documents:
+            stored = documents.describe("cli-doc")
             assert stored is not None
             # Same meta shape as the server's persistence, so a served
             # reload can check projection coverage.
@@ -298,42 +298,8 @@ class TestLoadCommand:
                 "projected": True,
                 "project_for": ["//emailaddress"],
             }
-            loaded, _ = backend.load("cli-doc")
+            loaded, _ = documents.load("cli-doc")
             assert loaded.size() == stored.nodes
-
-    def test_load_store_url_persists_identically(self, xmark_file,
-                                                 tmp_path, capsys):
-        """The deprecated --docstore spelling and the store-URL
-        spelling write byte-identical node tables (the URL database
-        additionally carries the unified verdict facet)."""
-        import sqlite3
-        import warnings
-
-        legacy_db = str(tmp_path / "legacy.sqlite")
-        url_db = str(tmp_path / "unified.sqlite")
-        with pytest.warns(DeprecationWarning, match="--docstore"):
-            assert main([
-                "load", xmark_file, "--builtin", "xmark",
-                "--docstore", legacy_db, "--doc", "d",
-            ]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main([
-                "load", xmark_file, "--builtin", "xmark",
-                "--store", f"sqlite:///{url_db}", "--doc", "d",
-            ]) == 0
-        out = capsys.readouterr().out
-        assert f"sqlite:///{url_db}" in out
-
-        def rows(path):
-            with sqlite3.connect(path) as conn:
-                return conn.execute(
-                    "SELECT loc, parent, level, size, tag, text "
-                    "FROM nodes WHERE doc = 'd' ORDER BY loc"
-                ).fetchall()
-
-        legacy_rows = rows(legacy_db)
-        assert legacy_rows and legacy_rows == rows(url_db)
 
     def test_docstore_bench_parser_defaults(self):
         from repro.cli import build_parser
@@ -407,9 +373,9 @@ class TestMetricsCommand:
 
 
 class TestStoreURLs:
-    """Deprecation hygiene for the unified store-URL flags: old
-    spellings warn (once, at the CLI layer only) and resolve to the
-    same backends as their URL replacements."""
+    """``--store`` takes store URLs only: a plain path or an unknown
+    scheme is a usage error naming the URL spelling, and a valid URL
+    reaches the config unchanged."""
 
     @pytest.fixture()
     def serve_stub(self, monkeypatch):
@@ -429,18 +395,17 @@ class TestStoreURLs:
                             .run_until_complete(coro))
         return configs
 
-    def test_serve_plain_store_path_warns(self, serve_stub, capsys):
-        with pytest.warns(DeprecationWarning,
-                          match="plain-path --store"):
-            assert main(["serve", "--store", "verdicts.db"]) == 0
-        assert serve_stub[0].store_path == "verdicts.db"
+    def test_serve_plain_store_path_exits_two(self, serve_stub, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--store", "verdicts.db"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "'sqlite:///verdicts.db'" in err
+        assert "docs/STORAGE.md" in err
+        assert serve_stub == []
 
-    def test_serve_doc_store_flag_warns(self, serve_stub, capsys):
-        with pytest.warns(DeprecationWarning, match="--doc-store"):
-            assert main(["serve", "--doc-store", "docs.db"]) == 0
-        assert serve_stub[0].doc_store_path == "docs.db"
-
-    def test_serve_store_url_never_warns(self, serve_stub, capsys):
+    def test_serve_store_url_never_warns(self, serve_stub):
         import warnings
 
         with warnings.catch_warnings():
@@ -450,33 +415,16 @@ class TestStoreURLs:
             ]) == 0
         assert serve_stub[0].store_path == "sqlite:///verdicts.db"
 
-    def test_programmatic_config_never_warns(self):
-        """Only the CLI warns; building a ServeConfig with legacy
-        values directly stays silent (libraries must not nag)."""
-        import warnings
-
-        from repro.serve.server import ServeConfig
-        from repro.storage import serve_storage_plan
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = ServeConfig(store_path="verdicts.db",
-                                 doc_store_path="docs.db")
-            serve_storage_plan(config.store_path,
-                               config.doc_store_path)
-
-    def test_old_and_new_spellings_resolve_identically(self):
-        """The deprecated flags and their URL replacements map to the
-        same backend specs (so behavior cannot drift apart)."""
-        from repro.storage import serve_storage_plan
-
-        legacy = serve_storage_plan("verdicts.db")
-        unified = serve_storage_plan("sqlite:///verdicts.db")
-        assert legacy.verdicts == unified.verdicts
-        # ... except that only the URL also persists documents:
-        assert legacy.documents is None
-        assert unified.documents == unified.verdicts
-
-        legacy_docs = serve_storage_plan(":memory:", "docs.db")
-        unified_docs = serve_storage_plan("sqlite:///docs.db")
-        assert legacy_docs.documents == unified_docs.documents
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--store", "redis://x"],
+        ["load", "doc.xml", "--store", "docs.db"],
+        ["query", "//a", "--store", "docs.db", "--doc", "d"],
+        ["explain", "//a", "--store", "docs.db", "--doc", "d"],
+        ["serve-bench", "--store", "docs.db"],
+    ])
+    def test_every_store_flag_validates(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --store" in err
