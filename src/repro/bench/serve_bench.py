@@ -6,8 +6,8 @@ TCP:
 **Mode comparison** (PR 3's gate): the same 20x20 XMark workload
 against three in-process service configurations --
 
-* ``batched``  -- the default: micro-batching admission queue feeding
-  coalesced ``analyze_matrix`` calls, group-committed store writes;
+* ``batched``  -- the default: drain-on-idle admission queue feeding
+  coalesced ``analyze_many`` calls, group-committed store writes;
 * ``engine``   -- batching disabled but the shared per-schema engine
   kept: per-request executor hand-off and per-verdict commit (shows
   how much of the win is the queue vs. the engine itself);
@@ -54,7 +54,8 @@ SHARD_WORKLOAD = dict(schema=("xmark", "gen:11"), n_queries=12,
 #: ``schema_version``/``cores`` at the top level and per-mode
 #: ``server_latency_ms`` (server-side per-op p50/p99 from the scraped
 #: request histograms, so a point records both sides of the wire).
-SCHEMA_VERSION = 2
+#: 3 dropped ``batch_window_seconds``: admission has no window.
+SCHEMA_VERSION = 3
 
 
 def _server_latency(report: dict) -> dict:
@@ -103,14 +104,12 @@ async def _run_config(config: ServeConfig, loadgen: LoadgenConfig) -> dict:
     return report
 
 
-async def _run_mode(mode: str, store_path: str,
-                    workload: dict, batch_window: float) -> dict:
+async def _run_mode(mode: str, store_path: str, workload: dict) -> dict:
     """One mode-comparison leg (always unsharded)."""
     config = ServeConfig(
         port=0,
         store_path=store_path,
         analysis_mode=mode,
-        batch_window=batch_window,
         preload=("xmark",),
     )
     assert isinstance(make_service(config), IndependenceService)
@@ -120,7 +119,6 @@ async def _run_mode(mode: str, store_path: str,
 
 
 async def run_serve_bench_async(workload: dict | None = None,
-                                batch_window: float = 0.002,
                                 store: str | None = None) -> dict:
     """The three-mode comparison (the PR 3 acceptance numbers).
 
@@ -135,19 +133,13 @@ async def run_serve_bench_async(workload: dict | None = None,
     for mode in ("batched", "engine", "oneshot"):
         if mode == "oneshot":
             # Stateless mode never touches the store.
-            reports[mode] = await _run_mode(
-                mode, "memory://", workload, batch_window
-            )
+            reports[mode] = await _run_mode(mode, "memory://", workload)
             continue
         if store is not None:
-            reports[mode] = await _run_mode(
-                mode, store, workload, batch_window
-            )
+            reports[mode] = await _run_mode(mode, store, workload)
             continue
         with _store_file(mode) as store_path:
-            reports[mode] = await _run_mode(
-                mode, store_path, workload, batch_window
-            )
+            reports[mode] = await _run_mode(mode, store_path, workload)
 
     verdict_blobs = {
         mode: json.dumps(report["verdicts"], sort_keys=True)
@@ -160,7 +152,6 @@ async def run_serve_bench_async(workload: dict | None = None,
     return {
         "schema_version": SCHEMA_VERSION,
         "workload": reports["batched"]["workload"],
-        "batch_window_seconds": batch_window,
         "cores": available_cores(),
         "modes": {
             mode: {
@@ -184,7 +175,6 @@ async def run_serve_bench_async(workload: dict | None = None,
 
 async def run_shard_bench_async(shards: int = 2,
                                 workload: dict | None = None,
-                                batch_window: float = 0.002,
                                 store: str | None = None) -> dict:
     """Single-shard vs ``shards``-shard throughput, same workload.
 
@@ -204,7 +194,6 @@ async def run_shard_bench_async(shards: int = 2,
         config = ServeConfig(
             port=0,
             store_path=store_path,
-            batch_window=batch_window,
             preload=("xmark",),
             shards=count,
         )
@@ -229,7 +218,6 @@ async def run_shard_bench_async(shards: int = 2,
     sharded = reports[shards]["throughput_rps"]
     return {
         "workload": reports[shards]["workload"],
-        "batch_window_seconds": batch_window,
         "cores": available_cores(),
         "shards": shards,
         "shard_counts": {
@@ -273,7 +261,6 @@ def append_trajectory_point(path: str, point: dict) -> None:
 
 
 def run_serve_bench(workload: dict | None = None,
-                    batch_window: float = 0.002,
                     shards: int = 2,
                     store: str | None = None,
                     out=sys.stdout) -> dict:
@@ -285,7 +272,7 @@ def run_serve_bench(workload: dict | None = None,
     throwaway SQLite files.
     """
     results = asyncio.run(
-        run_serve_bench_async(workload, batch_window, store=store)
+        run_serve_bench_async(workload, store=store)
     )
     shape = results["workload"]
     print(f"serve benchmark -- {shape['n_queries']}x{shape['n_updates']} "

@@ -9,8 +9,8 @@ same pattern as :class:`~repro.obs.tracing.TraceContext`):
 - ``router`` — which shard was chosen and why the schema reference
   resolved (``digest`` / ``alias`` / ``builtin``).
 - ``batcher`` — how the analyze call was executed: coalesced into a
-  ``matrix`` or ``sparse`` flush (with flush id and dedup factor),
-  ``direct`` when batching is disabled, ``oneshot`` when the client
+  ``sparse`` flush over exactly the requested pairs (with flush id and
+  pair counts), ``direct`` when batching is disabled, ``oneshot`` when the client
   opted out, ``fallback`` when a failed flush degraded to per-request
   analysis, or ``memo`` when the pair memo answered it before
   admission.
@@ -72,7 +72,7 @@ __all__ = [
 #: tests diff it against this constant.
 PLAN_DECISIONS: dict[str, tuple[str, ...]] = {
     "router": ("digest", "alias", "builtin"),
-    "batcher": ("matrix", "sparse", "direct", "oneshot", "fallback", "memo"),
+    "batcher": ("sparse", "direct", "oneshot", "fallback", "memo"),
     "engine": ("pair_memo", "store", "computed"),
     "docstore": ("projected", "unprojected", "from_store", "generated"),
     "pushdown": ("compiled", "ineligible"),
@@ -106,8 +106,9 @@ INELIGIBILITY_REASONS: dict[str, str] = {
     ),
 }
 
-#: Hard cap on decisions per plan: a speculative matrix flush can touch
-#: thousands of pairs, and a plan must stay a bounded wire payload.
+#: Hard cap on decisions per plan: a coalesced flush or an explained
+#: ``matrix`` op can touch thousands of pairs, and a plan must stay a
+#: bounded wire payload.
 #: Records past the cap are counted in the report's ``dropped`` field.
 MAX_DECISIONS = 512
 

@@ -4,8 +4,8 @@
 long-running, multi-tenant network service: a JSON-lines-over-TCP
 asyncio server (:mod:`.server`) whose ``analyze`` endpoint answers
 memoized pairs straight from the pair memo and funnels the rest
-through a micro-batching admission queue (:mod:`.batching`) into
-coalesced ``analyze_matrix`` calls, with every
+through a drain-on-idle admission queue (:mod:`.batching`) into
+coalesced ``analyze_many`` calls, with every
 verdict written through to the backend its store URL names
 (:mod:`repro.storage`) and schemas hosted in an LRU-bounded registry
 (:mod:`.registry`).

@@ -1,26 +1,25 @@
-"""Micro-batching admission queue for ``analyze`` requests.
+"""Drain-on-idle admission queue for ``analyze`` requests.
 
 Only requests the pair memo cannot answer are admitted: the service
 answers a memoized pair on the event loop before it reaches this queue
 (:meth:`~repro.analysis.engine.AnalysisEngine.peek_pair`), so
 :attr:`MicroBatcher.requests` counts admitted requests, not every
-``analyze``.  Concurrent admitted requests for the same
-``(schema_digest, k)`` that arrive within a small window (default 2 ms)
-are coalesced into one
-:meth:`~repro.analysis.engine.AnalysisEngine.analyze_matrix` call over
-the batch's distinct queries x distinct updates, executed on a single
-analysis worker thread with the verdict store in group-commit mode.
-Service throughput then scales with the engine's *amortized* batch
-speed -- one executor hand-off, one store commit, and shared chain
-inference per flush -- instead of paying per-request latency (executor
-round-trip + per-verdict commit) on every call, which is precisely the
-serving-layer shape the paper's "analyze every update against every
-view" pitch assumes.
+``analyze``.  The first admitted request starts one drain loop.  Each
+turn the loop takes everything admitted so far, grouped by
+``(schema_digest, k)``, and flushes every group as one
+:meth:`~repro.analysis.engine.AnalysisEngine.analyze_many` call over the
+group's distinct requested pairs, on the service's single analysis
+thread, inside one ``store.deferred()`` group commit.  The next turn
+starts as soon as the flush returns, and the loop exits when a turn
+finds nothing admitted.
 
-The first request of a group opens the window; followers join until the
-window closes or the batch hits ``max_batch``, whichever is first.  A
-flush failure (e.g. one unparsable expression) degrades that batch to
-per-request analysis so only the offending request sees the error.
+There is no timer: an idle service flushes a request within two event
+loop iterations of its admission, and a busy one coalesces whatever
+queued behind the running flush -- one executor hand-off, one store
+commit, and shared chain inference for all of it.  No pair is computed
+that nobody asked for.  A flush failure (e.g. one unparsable
+expression) degrades that group to per-request analysis so only the
+offending request sees the error.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from ..analysis.engine import AnalysisEngine, normalize_source
@@ -69,7 +68,8 @@ class WireVerdict:
 
 @dataclass
 class _Group:
-    """One open admission window for a ``(digest, k)`` key.
+    """The requests admitted for one ``(digest, k)`` key since the
+    drain loop's last turn.
 
     Each entry is ``(query, update, future, trace, plan, enqueued)``:
     the request's trace context (or None), its plan context (or None),
@@ -83,31 +83,28 @@ class _Group:
         tuple[str, str, asyncio.Future, TraceContext | None,
               PlanContext | None, float]
     ] = field(default_factory=list)
-    full: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class MicroBatcher:
-    """Coalesces concurrent analyze requests into matrix flushes."""
+    """Coalesces admitted analyze requests into drain-on-idle flushes.
 
-    def __init__(self, registry, window: float = 0.002,
-                 max_batch: int = 512, enabled: bool = True):
+    ``executor`` is the service's single analysis thread; the service
+    owns it (and shuts it down after :meth:`drain`).  One worker
+    serializes all engine access: engine caches are not thread-safe,
+    and chain inference is GIL-bound anyway.
+    """
+
+    def __init__(self, registry, executor: Executor, enabled: bool = True):
         self.registry = registry
-        self.window = window
-        self.max_batch = max_batch
         self.enabled = enabled
-        # One worker serializes all engine access: engine caches are not
-        # thread-safe, and chain inference is GIL-bound anyway.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-analysis"
-        )
-        self._groups: dict[tuple, _Group] = {}
-        self._flushes: set[asyncio.Task] = set()
+        self._executor = executor
+        self._pending: dict[tuple, _Group] = {}
+        self._drainer: asyncio.Task | None = None
         self.requests = 0
         self.batches = 0
         self.coalesced_requests = 0
         self.max_batch_size = 0
         self.matrix_pairs = 0
-        self.sparse_batches = 0
         self.fallback_singles = 0
 
     # -- public API ----------------------------------------------------------
@@ -120,7 +117,6 @@ class MicroBatcher:
         engine = self.registry.engine(schema_ref)
         loop = asyncio.get_running_loop()
         trace = current_trace()
-        plan = current_plan()
         if not self.enabled:
             # Attaches to the request's own plan: submit runs in the
             # request context, and the context copy carries it onto the
@@ -136,70 +132,61 @@ class MicroBatcher:
                 trace.add_span("engine", time.perf_counter() - t0)
             return verdict
         key = (engine.digest, k)
-        group = self._groups.get(key)
+        group = self._pending.get(key)
         if group is None:
-            group = _Group(engine=engine, k=k)
-            self._groups[key] = group
-            task = loop.create_task(self._window_flush(key, group))
-            self._flushes.add(task)
-            task.add_done_callback(self._flushes.discard)
-        else:
-            self.coalesced_requests += 1
+            group = self._pending[key] = _Group(engine=engine, k=k)
         future: asyncio.Future = loop.create_future()
         group.entries.append(
-            (query, update, future, trace, plan, time.perf_counter())
+            (query, update, future, trace, current_plan(),
+             time.perf_counter())
         )
-        if len(group.entries) >= self.max_batch:
-            # Close the window immediately: removing the group here (not
-            # just waking the flush task) is what actually enforces
-            # max_batch under a same-cycle burst -- later submits must
-            # open a fresh group instead of piling onto this one.
-            if self._groups.get(key) is group:
-                del self._groups[key]
-            group.full.set()
+        if self._drainer is None:
+            self._drainer = loop.create_task(self._drain())
         return await future
 
     async def drain(self) -> None:
-        """Flush every open window (tests, shutdown)."""
-        while self._flushes:
-            for group in list(self._groups.values()):
-                group.full.set()
-            tasks = list(self._flushes)
-            await asyncio.gather(*tasks, return_exceptions=True)
-            self._flushes.difference_update(tasks)
-
-    def close(self) -> None:
-        """Stop the analysis worker thread (after :meth:`drain`)."""
-        self._executor.shutdown(wait=True)
+        """Return once every admitted request is answered (shutdown)."""
+        while self._drainer is not None:
+            # wait(), not await: a cancelled caller must not cancel the
+            # loop that other requests are waiting on.
+            await asyncio.wait((self._drainer,))
 
     def stats(self) -> dict:
         """Admission-queue counters (the ``/stats`` batcher section)."""
         return {
             "enabled": self.enabled,
-            "window_seconds": self.window,
-            "max_batch": self.max_batch,
             "requests": self.requests,
             "batches": self.batches,
             "coalesced_requests": self.coalesced_requests,
             "max_batch_size": self.max_batch_size,
             "matrix_pairs": self.matrix_pairs,
-            "sparse_batches": self.sparse_batches,
+            # Every flush analyzes exactly its requested pairs.
+            "sparse_batches": self.batches,
             "fallback_singles": self.fallback_singles,
         }
 
     # -- flush machinery -----------------------------------------------------
 
-    async def _window_flush(self, key: tuple, group: _Group) -> None:
+    async def _drain(self) -> None:
+        """The drain loop: flush what was admitted until nothing was.
+
+        No await separates the final empty check from clearing
+        ``_drainer``, so a request admitted after that check starts a
+        fresh loop and none is stranded.
+        """
         try:
-            await asyncio.wait_for(group.full.wait(), timeout=self.window)
-        except TimeoutError:
-            pass
-        # Close the window: later arrivals open a fresh group.
-        if self._groups.get(key) is group:
-            del self._groups[key]
+            while self._pending:
+                groups, self._pending = self._pending, {}
+                for group in groups.values():
+                    await self._flush(group)
+        finally:
+            self._drainer = None
+
+    async def _flush(self, group: _Group) -> None:
         loop = asyncio.get_running_loop()
         entries = group.entries
         self.batches += 1
+        self.coalesced_requests += len(entries) - 1
         flush_id = self.batches
         self.max_batch_size = max(self.max_batch_size, len(entries))
         flush_started = time.perf_counter()
@@ -218,6 +205,7 @@ class MicroBatcher:
             BATCH_FLUSH_SECONDS.observe(
                 time.perf_counter() - flush_started
             )
+            self.matrix_pairs += shape["pairs"]
             # Per-pair engine decisions were recorded on the shared
             # batch plan (the flush runs once); index them by clipped
             # normalized source so each explained entry gets its own
@@ -238,13 +226,11 @@ class MicroBatcher:
                     if store_seconds > 0.0:
                         trace.add_span("store", store_seconds)
                 if plan is None:
-                    count_decision("batcher", shape["mode"])
+                    count_decision("batcher", "sparse")
                 else:
                     plan_decision(
-                        "batcher", shape["mode"], plan,
-                        flush=flush_id, requests=len(entries),
-                        queries=shape["queries"],
-                        updates=shape["updates"], pairs=shape["pairs"],
+                        "batcher", "sparse", plan,
+                        flush=flush_id, requests=len(entries), **shape,
                     )
                     record = engine_records.get(
                         (clip(normalize_source(query)),
@@ -281,43 +267,28 @@ class MicroBatcher:
                                        time.perf_counter() - t0)
                     future.set_result(verdict)
 
-    #: A flush uses the full queries x updates matrix only while the
-    #: grid is at most this many times the deduplicated request count.
-    #: Dense batches (the view-set x update-stream shape the paper
-    #: targets) profit from the speculative grid -- the extra verdicts
-    #: land in the memo and the store for later requests -- but a batch
-    #: of mostly-distinct expressions would otherwise pay O(n^2)
-    #: analyses for n answers, so sparse batches run ``analyze_many``
-    #: over exactly the requested pairs (same chain amortization, same
-    #: group commit).
-    MATRIX_DENSITY_LIMIT = 4
-
     def _analyze_batch(
         self, engine: AnalysisEngine, entries, k: int | None
     ) -> tuple[list[WireVerdict], float, float, PlanContext | None, dict]:
-        """Worker-thread body of one flush: one deduplicated batch call
-        under a single store commit, then per-entry verdict lookup.
+        """Worker-thread body of one flush: one ``analyze_many`` over
+        the distinct requested pairs under a single store commit, then
+        per-entry verdict lookup.
 
         Returns ``(verdicts, engine_seconds, store_seconds, batch_plan,
         shape)``: the timing split lets the flush attribute analysis
         versus group-commit time to every coalesced request's trace;
         ``batch_plan`` (created only when at least one entry asked for
         an explanation) collects the engine's per-pair verdict-source
-        decisions for per-entry attribution; ``shape`` describes the
-        flush (``mode``/``queries``/``updates``/``pairs``) for the
+        decisions for per-entry attribution; ``shape`` counts the
+        flush's distinct ``queries``/``updates``/``pairs`` for the
         per-entry batcher decision.
         """
-        queries = list(dict.fromkeys(entry[0] for entry in entries))
-        updates = list(dict.fromkeys(entry[1] for entry in entries))
         pairs = list(dict.fromkeys(
             (entry[0], entry[1]) for entry in entries
         ))
-        dense = (len(queries) * len(updates)
-                 <= self.MATRIX_DENSITY_LIMIT * len(pairs))
         shape = {
-            "mode": "matrix" if dense else "sparse",
-            "queries": len(queries),
-            "updates": len(updates),
+            "queries": len({query for query, _ in pairs}),
+            "updates": len({update for _, update in pairs}),
             "pairs": len(pairs),
         }
         batch_plan = PlanContext() if any(
@@ -326,19 +297,7 @@ class MicroBatcher:
         store = engine.store
 
         def run() -> dict[tuple[str, str], WireVerdict]:
-            if dense:
-                matrix = engine.analyze_matrix(queries, updates, k=k)
-                self.matrix_pairs += matrix.pairs
-                rows = {query: i for i, query in enumerate(queries)}
-                cols = {update: j for j, update in enumerate(updates)}
-                return {
-                    (query, update): wire_verdict(matrix.verdict(rows[query],
-                                                          cols[update]))
-                    for query, update in pairs
-                }
-            self.sparse_batches += 1
             reports = engine.analyze_many(pairs, k=k)
-            self.matrix_pairs += len(reports)
             return {
                 pair: wire_verdict(report)
                 for pair, report in zip(pairs, reports)

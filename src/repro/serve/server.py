@@ -15,12 +15,13 @@ plus direct endpoints over the same engines for ``matrix``,
 waves), and materialized-view maintenance
 (:class:`~repro.viewmaint.cache.ViewCache`) over documents loaded per
 connection-independent doc ids.  All engine work that computes a
-verdict or writes an engine cache runs on the batcher's single analysis
-worker thread.  The event loop parses, dispatches and writes, and
+verdict or writes an engine cache runs on the service's single
+analysis worker thread (``analysis_executor``, which the batcher
+shares).  The event loop parses, dispatches and writes, and
 answers an ``analyze`` whose pair is already in the engine's pair memo
 itself: that lane is one read-only memo probe
 (:meth:`~repro.analysis.engine.AnalysisEngine.peek_pair`), so a warm
-verdict skips the admission window and the thread hop while the worker
+verdict skips admission and the thread hop while the worker
 stays the only writer of every engine cache.
 
 With ``shards`` > 1 the admission path changes shape from "one queue,
@@ -45,9 +46,9 @@ the unsharded service.
 
 ``analysis_mode`` selects how ``analyze`` requests are served:
 
-* ``"batched"`` (default) -- memo lane, then the micro-batching
-  admission queue: coalesced ``analyze_matrix`` flushes,
-  group-committed store writes;
+* ``"batched"`` (default) -- memo lane, then the drain-on-idle
+  admission queue: coalesced ``analyze_many`` flushes over the
+  requested pairs, group-committed store writes;
 * ``"engine"`` -- memo lane, then batching disabled, but each request
   still served by the shared per-schema engine (per-request executor
   hand-off and per-verdict commit);
@@ -63,6 +64,7 @@ import asyncio
 import contextvars
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..analysis.engine import schema_digest
@@ -157,8 +159,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     store_path: str = "memory://"
-    batch_window: float = 0.002
-    max_batch: int = 512
     analysis_mode: str = "batched"
     max_schemas: int = 256
     max_documents: int = 64
@@ -504,10 +504,13 @@ class IndependenceService(JsonLinesFront):
             max_schemas=self.config.max_schemas,
             pair_cache_size=self.config.pair_cache_size,
         )
+        # One worker serializes all engine access; the service owns
+        # it, and the batcher flushes on it.
+        self.analysis_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-analysis"
+        )
         self.batcher = MicroBatcher(
-            self.registry,
-            window=self.config.batch_window,
-            max_batch=self.config.max_batch,
+            self.registry, self.analysis_executor,
             enabled=self.config.analysis_mode == "batched",
         )
         # LRU like the schema registry: loaded documents (tree + view
@@ -542,7 +545,7 @@ class IndependenceService(JsonLinesFront):
     async def _close_backend(self) -> None:
         """Drain the admission queue, stop the worker, close the stores."""
         await self.batcher.drain()
-        self.batcher.close()
+        self.analysis_executor.shutdown(wait=True)
         self._backend.close()
 
     # -- dispatch ------------------------------------------------------------
@@ -564,7 +567,7 @@ class IndependenceService(JsonLinesFront):
         loop = asyncio.get_running_loop()
         ctx = contextvars.copy_context()
         return await loop.run_in_executor(
-            self.batcher._executor, ctx.run, fn, *args
+            self.analysis_executor, ctx.run, fn, *args
         )
 
     # -- ops: basics ---------------------------------------------------------
@@ -696,7 +699,7 @@ class IndependenceService(JsonLinesFront):
             )
             return wire_verdict(report).as_dict()
         # The memo lane: a memoized pair is answered here on the event
-        # loop, without the admission window or the thread hop.  The
+        # loop, without admission or the thread hop.  The
         # probe only reads the memo, so the analysis thread stays the
         # one writer of every engine cache.
         started = time.perf_counter()
@@ -1606,8 +1609,6 @@ class ShardedService(JsonLinesFront):
             per_shard.append(shard_payload)
         batcher = {
             "enabled": self.config.analysis_mode == "batched",
-            "window_seconds": self.config.batch_window,
-            "max_batch": self.config.max_batch,
             "max_batch_size": max(
                 (p["batcher"]["max_batch_size"] for p in per_shard),
                 default=0,

@@ -229,7 +229,7 @@ class ShardLink:
     responses (which the shard may emit out of order) are matched back
     to their awaiting futures.  Funneling every routed request through
     one connection is deliberate -- it is what lets concurrent client
-    requests for one schema meet in the shard's admission window and
+    requests for one schema meet in the shard's admission queue and
     coalesce, exactly as if they had arrived on one pipelined client
     connection.
     """

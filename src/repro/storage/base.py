@@ -347,7 +347,7 @@ class VerdictKV:
         """Group-commit scope: writes inside commit once at exit.
 
         Nests; only the outermost exit commits.  Entered by the
-        micro-batcher around one coalesced ``analyze_matrix`` flush.
+        admission queue around one coalesced ``analyze_many`` flush.
         """
         raise NotImplementedError
 

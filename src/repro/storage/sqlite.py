@@ -228,7 +228,7 @@ class SqliteVerdictKV(VerdictKV):
         """Group-commit scope: writes inside commit once at exit.
 
         Nests; only the outermost exit commits.  Entered by the
-        micro-batcher around one coalesced ``analyze_matrix`` flush.
+        admission queue around one coalesced ``analyze_many`` flush.
         """
         with self._lock:
             self._deferred_depth += 1

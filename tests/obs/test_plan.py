@@ -58,7 +58,7 @@ def test_explicit_plan_argument_wins_over_the_installed_one():
     installed = start_plan()
     explicit = PlanContext()
     try:
-        decision("batcher", "matrix", explicit, flush=7)
+        decision("batcher", "sparse", explicit, flush=7)
     finally:
         finish_plan(installed)
     assert installed.decisions == []

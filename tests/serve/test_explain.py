@@ -89,7 +89,7 @@ def test_analyze_verdict_sources_are_distinguishable(tmp_path):
     # admission queue; the memo hit was answered before admission.
     for response in (computed, stored):
         batcher = _layer(response["plan"], "batcher")
-        assert batcher["decision"] in ("matrix", "sparse")
+        assert batcher["decision"] == "sparse"
         assert batcher["detail"]["pairs"] >= 1
     assert _layer(memo["plan"], "batcher")["decision"] == "memo"
 

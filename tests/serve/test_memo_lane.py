@@ -59,7 +59,7 @@ def test_warm_pair_is_answered_while_the_analysis_thread_is_busy():
                     ServiceClient(host, port) as cold_client:
                 assert (await warm_client.call("analyze", **WARM))["ok"]
                 release = threading.Event()
-                blocker = service.batcher._executor.submit(
+                blocker = service.analysis_executor.submit(
                     release.wait, 30
                 )
                 try:

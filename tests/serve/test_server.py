@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
+from contextlib import asynccontextmanager
 
 from repro.analysis.engine import AnalysisEngine
 from repro.serve.protocol import encode
@@ -41,17 +43,37 @@ def test_analyze_matches_engine_ground_truth(bib):
         assert response["k_update"] == report.k_update
 
 
+@asynccontextmanager
+async def _parked_analysis_thread(service, admitted: int):
+    """Hold the service's analysis thread until ``admitted`` analyze
+    requests were admitted, so they provably queue behind each other."""
+    release = threading.Event()
+    service.analysis_executor.submit(release.wait, 30)
+    async def all_admitted():
+        while service.batcher.requests < admitted:
+            await asyncio.sleep(0.001)
+
+    try:
+        yield
+        await asyncio.wait_for(all_admitted(), 10)
+    finally:
+        release.set()
+
+
 def test_concurrent_clients_coalesce_into_batches(bib):
+    requests = BIB_PAIRS * 3
+
     async def run():
-        async with running_service(batch_window=0.05) as (_, host, port):
+        async with running_service() as (service, host, port):
             async def one(query, update):
                 async with ServiceClient(host, port) as client:
                     return await client.call("analyze", schema="bib",
                                              query=query, update=update)
 
-            responses = await asyncio.gather(*(
-                one(query, update) for query, update in BIB_PAIRS * 3
-            ))
+            async with _parked_analysis_thread(service, len(requests)):
+                calls = [asyncio.ensure_future(one(query, update))
+                         for query, update in requests]
+            responses = await asyncio.wait_for(asyncio.gather(*calls), 10)
             async with ServiceClient(host, port) as client:
                 stats = await client.call("stats")
             return responses, stats
@@ -59,24 +81,30 @@ def test_concurrent_clients_coalesce_into_batches(bib):
     responses, stats = asyncio.run(run())
     assert all(response["ok"] for response in responses)
     batcher = stats["batcher"]
-    assert batcher["batches"] >= 1
-    assert batcher["coalesced_requests"] > 0
-    assert batcher["requests"] == len(BIB_PAIRS) * 3
+    # The drain loop's first turn took what was admitted before it ran;
+    # everything else queued behind that flush and flushed as one.
+    assert 1 <= batcher["batches"] <= 2
+    assert batcher["coalesced_requests"] == \
+        len(requests) - batcher["batches"]
+    assert batcher["requests"] == len(requests)
 
 
 def test_pipelined_requests_on_one_connection_coalesce():
     async def run():
-        async with running_service(batch_window=0.05) as (_, host, port):
+        async with running_service() as (service, host, port):
             reader, writer = await asyncio.open_connection(host, port)
-            for index, (query, update) in enumerate(BIB_PAIRS):
-                writer.write(encode({
-                    "op": "analyze", "id": index, "schema": "bib",
-                    "query": query, "update": update,
-                }))
-            await writer.drain()
+            async with _parked_analysis_thread(service, len(BIB_PAIRS)):
+                for index, (query, update) in enumerate(BIB_PAIRS):
+                    writer.write(encode({
+                        "op": "analyze", "id": index, "schema": "bib",
+                        "query": query, "update": update,
+                    }))
+                await writer.drain()
             responses = {}
             for _ in BIB_PAIRS:
-                response = json.loads(await reader.readline())
+                response = json.loads(await asyncio.wait_for(
+                    reader.readline(), 10
+                ))
                 responses[response["id"]] = response
             writer.close()
             await writer.wait_closed()
@@ -87,7 +115,10 @@ def test_pipelined_requests_on_one_connection_coalesce():
     responses, stats = asyncio.run(run())
     assert set(responses) == set(range(len(BIB_PAIRS)))
     assert all(response["ok"] for response in responses.values())
-    assert stats["batcher"]["coalesced_requests"] > 0
+    batcher = stats["batcher"]
+    assert batcher["coalesced_requests"] > 0
+    assert batcher["batches"] + batcher["coalesced_requests"] == \
+        len(BIB_PAIRS)
 
 
 def test_matrix_and_schedule_endpoints(bib):

@@ -189,8 +189,11 @@ class TestShardedServiceEndToEnd:
         # schema.list is the union of both shards' registries.
         digests = {row["digest"] for row in listing["schemas"]}
         assert {gen_digest, builtin_digest("xmark")} <= digests
-        # Aggregated batcher counters cover traffic from both shards.
+        # Aggregated batcher counters cover traffic from both shards,
+        # under exactly the keys a worker reports.
         assert stats["batcher"]["requests"] >= 2
+        for shard in stats["per_shard"]:
+            assert set(shard["batcher"]) == set(stats["batcher"])
 
     def test_doc_ops_route_by_id_prefix(self):
         async def run():

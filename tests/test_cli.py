@@ -176,8 +176,6 @@ class TestParserMatchesConfigs:
         assert args.host == config.host
         assert args.port == config.port
         assert args.store == config.store_path
-        assert args.window / 1e3 == config.batch_window
-        assert args.max_batch == config.max_batch
         assert args.mode == config.analysis_mode
         assert args.max_schemas == config.max_schemas
         assert args.max_documents == config.max_documents
@@ -215,8 +213,10 @@ class TestParserMatchesConfigs:
         text = serve_parser.format_help()
         config = ServeConfig()
         assert f"max-documents {config.max_documents}" in text
-        assert f"max-batch {config.max_batch}" in text
+        assert f"max-schemas {config.max_schemas}" in text
         assert f"shards {config.shards}" in text
+        # Admission has no timer: no window or max-batch knob to quote.
+        assert "window" not in text and "max-batch" not in text
         assert "docs/PROTOCOL.md" in text
 
     def test_loadgen_expect_coalescing_semantics_documented(self):
@@ -237,6 +237,22 @@ class TestParserMatchesConfigs:
             ["loadgen", "--schema", "xmark", "--schema", "gen:11"]
         )
         assert args.schema == ["xmark", "gen:11"]
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--window", "2"],
+        ["serve", "--max-batch", "16"],
+        ["serve-bench", "--window", "2"],
+    ])
+    def test_removed_window_flags_exit_two(self, argv, capsys):
+        """Admission drains on idle: the window knobs are gone, and
+        passing one is a usage error, not a silent no-op."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err
 
     def test_serve_bench_shard_flag(self):
         from repro.cli import build_parser
