@@ -301,17 +301,18 @@ class _BoundedCache(OrderedDict):
 
 class _KState:
     """The compiled analysis state for one depth cap: the leveled
-    universe plus both memoizing inference tables.
+    universe plus both memoizing inference tables, whose
+    sub-expression memos are ``memo()`` caches.
 
     Distinct ``k`` values whose depth caps coincide (every ``k`` on a
     non-recursive schema) share one state, so their chain inferences and
     memo tables are pooled."""
 
-    def __init__(self, universe: Universe):
+    def __init__(self, universe: Universe, memo):
         self.universe = universe
         self.depth_cap = universe.depth_cap
-        self.queries = QueryInference(universe)
-        self.updates = UpdateInference(self.queries)
+        self.queries = QueryInference(universe, memo=memo())
+        self.updates = UpdateInference(self.queries, memo=memo())
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,8 @@ class AnalysisEngine:
     PAIR_CACHE_SIZE = 65_536
 
     #: Default bound for each per-expression cache (parsed ASTs,
-    #: multiplicities, digests, inferred chain sets).  Distinct
+    #: multiplicities, digests, inferred chain sets, and each depth
+    #: cap's query and update sub-expression memos).  Distinct
     #: expressions a service accepts over the wire are unbounded in
     #: number, so these memos need eviction just like the pair memo;
     #: evictions only cost recomputation on a later reappearance.
@@ -371,22 +373,21 @@ class AnalysisEngine:
         self._recursion: RecursionStructure | None = None
         self._states: dict[int, _KState] = {}
         self._states_by_cap: dict[int, _KState] = {}
-
-        def bounded() -> _BoundedCache:
-            return _BoundedCache(self.expr_cache_size, self.stats)
-
-        self._parsed_queries: _BoundedCache = bounded()
-        self._parsed_updates: _BoundedCache = bounded()
-        self._query_k: _BoundedCache = bounded()
-        self._update_k: _BoundedCache = bounded()
-        self._expr_digests: _BoundedCache = bounded()
-        self._query_chains: _BoundedCache = bounded()
-        self._update_chains: _BoundedCache = bounded()
+        self._parsed_queries = self._bounded()
+        self._parsed_updates = self._bounded()
+        self._query_k = self._bounded()
+        self._update_k = self._bounded()
+        self._expr_digests = self._bounded()
+        self._query_chains = self._bounded()
+        self._update_chains = self._bounded()
         self._pair_cache: OrderedDict[tuple, IndependenceReport] = (
             OrderedDict()
         )
         if default_k is not None:
             self.state(default_k)
+
+    def _bounded(self) -> _BoundedCache:
+        return _BoundedCache(self.expr_cache_size, self.stats)
 
     # -- identity ------------------------------------------------------------
 
@@ -461,7 +462,7 @@ class AnalysisEngine:
             state = self._states_by_cap.get(cap)
             if state is None:
                 build_started = time.perf_counter()
-                state = _KState(Universe(self.schema, cap))
+                state = _KState(Universe(self.schema, cap), self._bounded)
                 ENGINE_UNIVERSE_SECONDS.observe(
                     time.perf_counter() - build_started
                 )

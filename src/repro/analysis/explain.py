@@ -38,10 +38,14 @@ def _render_chain_set(components, out: StringIO, label: str,
         rendered = ", ".join(".".join(c) for c in shown) or "(none)"
         out.write(f"  {label:14s}: {rendered}{suffix}\n")
     except ChainExplosion:
-        ends = {end for c in components for end in c.ends}
+        symbols = set()
+        for component in components:
+            component = getattr(component, "full", component)
+            symbols |= {symbol for (_, symbol) in
+                        component.universe.nodes_of(component.ends)}
         out.write(
             f"  {label:14s}: >{limit} chains "
-            f"(CDAG endpoints: {sorted({s for (_, s) in ends})})\n"
+            f"(CDAG endpoints: {sorted(symbols)})\n"
         )
 
 

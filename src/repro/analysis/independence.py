@@ -4,7 +4,11 @@
 
 1. computes the pair multiplicity ``k = k_q + k_u`` (Table 3) unless an
    explicit ``k`` is given (the R-benchmark overrides it);
-2. builds the leveled universe with depth cap ``k * |Sigma| + 2``;
+2. builds the leveled universe, whose depth cap is the longest k-chain
+   the schema allows (:func:`depth_cap_from`: along the heaviest root
+   path of the type graph's condensation, ``k * |SCC|`` symbols per
+   recursive strongly connected component and one per trivial one, plus
+   a trailing text symbol);
 3. infers query chains ``(r; v; e)`` and update chains ``U``;
 4. reports independence iff
    ``confl(r, U) = confl(U, r) = confl(U, v) = empty`` (Definition 4.1),
@@ -229,47 +233,28 @@ def used_chain_conflict(update_component, used: Component) -> bool:
     used end inside the suffix region, or an update full end from which
     the used graph continues, witnesses the conflict.  Deleting/renaming
     the document root (no split) conflicts with every used chain.
+
+    Over masks: the pre-split walk follows every shared edge from the
+    root; the suffix region is entered by a shared suffix edge leaving a
+    node that walk reached (suffix edges are full edges, so such an edge
+    is among the edges it ``left`` by), and continues over shared suffix
+    edges only.
     """
     full = update_component.full
     if full.is_empty() or used.is_empty() or full.root != used.root:
         return False
     # Root-level change (e.g. delete /root): c is empty, so every used
     # chain strictly extends it and lies below the full chain's end.
-    if full.root in full.ends and not update_component.split_ends:
+    if full.ends >> full.root & 1 and not update_component.split_ends:
         return True
-    used_edges = used.edges
-    shared: dict = {}
-    for edge in full.edges:
-        if edge in used_edges:
-            shared.setdefault(edge[0], []).append(edge[1])
-    suffix_shared: dict = {}
-    for edge in update_component.suffix_edges:
-        if edge in used_edges:
-            suffix_shared.setdefault(edge[0], []).append(edge[1])
+    suffix_shared = update_component.suffix_edges & used.edges
     if not suffix_shared:
         return False
-    full_ends = full.ends
-    used_ends = used.ends
-    used_nodes = used.nodes()
-    seen: set[tuple] = set()
-    stack: list[tuple] = [(full.root, False)]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        node, in_suffix = state
-        if in_suffix and (
-            node in used_ends
-            or (node in full_ends and node in used_nodes)
-        ):
-            return True
-        for succ in suffix_shared.get(node, ()):
-            stack.append((succ, True))
-        if not in_suffix:
-            for succ in shared.get(node, ()):
-                stack.append((succ, False))
-    return False
+    universe = full.universe
+    _, left = universe.forward(full.edges & used.edges, 1 << full.root)
+    entered = universe.targets(left & suffix_shared)
+    inside, _ = universe.forward(suffix_shared, entered)
+    return bool(inside & (used.ends | (full.ends & used.nodes)))
 
 
 def chains_of(components: Components, limit: int = 10_000

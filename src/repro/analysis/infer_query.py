@@ -35,11 +35,10 @@ from ..xquery.ast import (
 )
 from .cdag import (
     Component,
-    Node,
     Universe,
     descendant_closure,
     graft,
-    make_component,
+    ones,
     restrict_to_ends,
     singleton_component,
 )
@@ -102,15 +101,17 @@ class QueryInference:
     repeated sub-inferences (triggered by the FOR filter) are free.
     """
 
-    def __init__(self, universe: Universe):
+    def __init__(self, universe: Universe, memo: dict | None = None):
         self.universe = universe
-        self._memo: dict[tuple[Query, Gamma], QueryChains] = {}
+        self._memo: dict[tuple[Query, Gamma], QueryChains] = (
+            {} if memo is None else memo
+        )
 
     # -- entry points --------------------------------------------------------
 
     def infer_root(self, query: Query, root_var: str) -> QueryChains:
         """Infer a quasi-closed query with ``root_var`` bound to the root."""
-        root = singleton_component(self.universe.root())
+        root = singleton_component(self.universe, self.universe.root_id)
         gamma: Gamma = ((root_var, (root,)),)
         return self.infer(query, gamma)
 
@@ -132,7 +133,9 @@ class QueryInference:
             return _EMPTY                                         # (EMPTY)
 
         if isinstance(query, StringLit):                          # (TEXT)
-            text = singleton_component((0, TEXT_SYMBOL), constructed=True)
+            text = singleton_component(
+                universe, universe.node_id((0, TEXT_SYMBOL)), constructed=True
+            )
             return QueryChains((), (), (text,))
 
         if isinstance(query, Concat):                             # (CONC)
@@ -159,18 +162,14 @@ class QueryInference:
             returns: list[Component] = []
             used: list[Component] = []
             for component in context:
-                result = step_on_component(
-                    component, query.axis, query.test, universe
-                )
+                result = step_on_component(component, query.axis, query.test)
                 if not result.is_empty():
                     returns.append(result)
                 if not query.axis.is_forward_downward:
                     # (STEPUH): context chains that lead to results become
                     # used chains.
-                    good = productive_ends(
-                        component, query.axis, query.test, universe
-                    )
-                    kept = restrict_to_ends(component, set(good))
+                    good = productive_ends(component, query.axis, query.test)
+                    kept = restrict_to_ends(component, good)
                     if not kept.is_empty():
                         used.append(kept)
             return QueryChains(tuple(returns), tuple(used), ())
@@ -185,7 +184,7 @@ class QueryInference:
                 good = self.productive_for_body(
                     query.body, query.var, component, inner_gamma
                 )
-                kept = restrict_to_ends(component, set(good))
+                kept = restrict_to_ends(component, good)
                 if not kept.is_empty():
                     any_productive = True
                     used.append(kept)
@@ -217,11 +216,12 @@ class QueryInference:
                                                            component))
             # { a | r + e = empty }
             if not elements:
-                elements.append(
-                    singleton_component((0, query.tag), constructed=True)
-                )
+                elements.append(singleton_component(
+                    universe, universe.node_id((0, query.tag)),
+                    constructed=True,
+                ))
             used = tuple(
-                descendant_closure(component, universe)
+                descendant_closure(component)
                 for component in _live(inner.returns)
             ) + inner.used
             return QueryChains((), used, tuple(elements))
@@ -233,32 +233,25 @@ class QueryInference:
     def _element_over_returns(self, tag: str, component: Component
                               ) -> Component:
         """Chains ``a.alpha.c'``: the returned node's symbol re-rooted under
-        the constructed tag, closed under schema descendants."""
-        root: Node = (0, tag)
-        edges: set[tuple[Node, Node]] = set()
-        ends: set[Node] = set()
-        frontier: list[Node] = []
-        for (_, symbol) in component.ends:
-            node = (1, symbol)
-            edges.add((root, node))
-            ends.add(node)
-            frontier.append(node)
-        seen = set(frontier)
-        while frontier:
-            node = frontier.pop()
-            for succ in self.universe.successors(node):
-                edges.add((node, succ))
-                ends.add(succ)
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return make_component(root, edges, ends, constructed=True)
+        the constructed tag, closed under schema descendants.  The root
+        reaches every node and every other node is an end, so the
+        component is trimmed as built."""
+        universe = self.universe
+        root = universe.node_id((0, tag))
+        edges = ends = 0
+        for end in ones(component.ends):
+            node = universe.node_id((1, universe.node(end)[1]))
+            below_nodes, below_edges = universe.below(node)
+            edges |= 1 << universe.edge_id(root, node) | below_edges
+            ends |= 1 << node | below_nodes
+        return Component(root, edges, ends, True, ends | 1 << root, universe)
 
     def _element_over_element(self, tag: str, inner: Component) -> Component:
         """Chains ``a.c`` for nested element chains ``c``."""
+        root = self.universe.node_id((0, tag))
         return graft(
-            singleton_component((0, tag), constructed=True),
-            (0, tag),
+            singleton_component(self.universe, root, constructed=True),
+            root,
             inner,
         )
 
@@ -266,9 +259,10 @@ class QueryInference:
 
     def productive_for_body(self, body: Query, var: str,
                             component: Component, gamma: Gamma
-                            ) -> frozenset[Node]:
-        """Over-approximation of the ends ``n`` of ``component`` for which
-        the body's ``r + e`` is non-empty under ``var -> n``.
+                            ) -> int:
+        """Over-approximation (an end mask) of the ends ``n`` of
+        ``component`` for which the body's ``r + e`` is non-empty under
+        ``var -> n``.
 
         Sound direction: keeping *more* ends keeps more used chains, which
         can only make the independence verdict more conservative.
@@ -276,18 +270,17 @@ class QueryInference:
         if var not in free_variables(body):
             return (component.ends
                     if self.infer(body, gamma).has_output()
-                    else frozenset())
+                    else 0)
 
         if isinstance(body, Step):
             # body.var == var here (otherwise var would not be free).
-            return productive_ends(component, body.axis, body.test,
-                                   self.universe)
+            return productive_ends(component, body.axis, body.test)
 
         if isinstance(body, (StringLit, Element)):
             return component.ends
 
         if isinstance(body, Empty):
-            return frozenset()
+            return 0
 
         if isinstance(body, Concat):
             return self.productive_for_body(
@@ -322,11 +315,11 @@ class QueryInference:
 
     def _productive_or_all(self, query: Query, var: str,
                            component: Component, gamma: Gamma
-                           ) -> frozenset[Node]:
+                           ) -> int:
         if var in free_variables(query):
             return self.productive_for_body(query, var, component, gamma)
         return (component.ends if self.infer(query, gamma).has_output()
-                else frozenset())
+                else 0)
 
 
 def _relevant_gamma(gamma: Gamma, query: Query) -> Gamma:

@@ -19,6 +19,8 @@ fixing the apparent typo in the paper's rule -- see DESIGN.md.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..xupdate.ast import (
     Delete,
     Insert,
@@ -33,9 +35,10 @@ from ..xupdate.ast import (
     update_free_variables,
 )
 from .cdag import (
+    EMPTY_COMPONENT,
     Component,
-    Node,
     make_component,
+    ones,
     parent_step,
     shift_component,
     singleton_component,
@@ -49,23 +52,21 @@ from .infer_query import (
 )
 
 
-from dataclasses import dataclass
-
-
 @dataclass(frozen=True)
 class UpdateComponent:
     """One update chain family ``c : c'`` as a full-chain component.
 
-    ``full`` denotes the concatenations ``c.c'``; ``split_ends`` are the
-    CDAG nodes where the target prefix ``c`` ends and the suffix ``c'``
-    begins, and ``suffix_edges`` are exactly the full-component edges
-    lying on suffix paths (the graft edges plus the grafted suffix
-    component's own edges; for delete/rename, the edges into the final
-    symbol).  Conflict checking needs both: an update *involves* every
-    intermediate position ``c.c''`` with ``c'' <= c'`` (the
-    inserted/removed subtree's root and inner nodes), so a used chain
-    strictly between ``c`` and ``c.c'`` conflicts even though neither
-    full chain is a prefix of it.  Restricting the post-split walk to
+    ``full`` denotes the concatenations ``c.c'``; ``split_ends`` (a node
+    mask) are the CDAG nodes where the target prefix ``c`` ends and the
+    suffix ``c'`` begins, and ``suffix_edges`` (an edge mask) are exactly
+    the full-component edges lying on suffix paths (the graft edges plus
+    the grafted suffix component's own edges; for delete/rename, the
+    edges into the final symbol).  Conflict checking needs both: an
+    update *involves* every intermediate position ``c.c''`` with
+    ``c'' <= c'`` (the inserted/removed subtree's root and inner nodes),
+    so a used chain strictly between ``c`` and ``c.c'`` conflicts even
+    though neither full chain is a prefix of it.  Restricting the
+    post-split walk to
     ``suffix_edges`` keeps the test exact on recursive schemas, where a
     split node also has non-suffix out-edges leading to *deeper*
     occurrences of the target -- see ``used_chain_conflict`` in
@@ -73,8 +74,8 @@ class UpdateComponent:
     """
 
     full: Component
-    split_ends: frozenset
-    suffix_edges: frozenset = frozenset()
+    split_ends: int
+    suffix_edges: int = 0
 
     def is_empty(self) -> bool:
         return self.full.is_empty()
@@ -84,7 +85,7 @@ class UpdateComponent:
         return self.full.enumerate_chains(limit)
 
     @property
-    def ends(self):
+    def ends(self) -> int:
         return self.full.ends
 
 
@@ -93,15 +94,13 @@ def _with_parent_splits(component: Component) -> UpdateComponent:
     symbol, so splits sit at the parents of the ends (the component root
     itself when a chain consists of the root only) and the suffix edges
     are the in-edges of the ends."""
-    final_edges = frozenset(
-        (source, target) for (source, target) in component.edges
-        if target in component.ends
-    )
-    return UpdateComponent(
-        component,
-        frozenset(source for (source, _) in final_edges),
-        final_edges,
-    )
+    universe = component.universe
+    into = 0
+    for end in ones(component.ends):
+        into |= universe.in_edges[end]
+    final_edges = into & component.edges
+    return UpdateComponent(component, universe.sources(final_edges),
+                           final_edges)
 
 
 class UpdateInference:
@@ -112,17 +111,20 @@ class UpdateInference:
     one update analyzed against many views re-derives nothing.
     """
 
-    def __init__(self, query_inference: QueryInference):
+    def __init__(self, query_inference: QueryInference,
+                 memo: dict | None = None):
         self.queries = query_inference
         self.universe = query_inference.universe
         self._memo: dict[tuple[Update, Gamma],
-                         tuple[UpdateComponent, ...]] = {}
+                         tuple[UpdateComponent, ...]] = (
+            {} if memo is None else memo
+        )
 
     # -- entry points --------------------------------------------------------
 
     def infer_root(self, update: Update, root_var: str
                    ) -> tuple[UpdateComponent, ...]:
-        root = singleton_component(self.universe.root())
+        root = singleton_component(self.universe, self.universe.root_id)
         gamma: Gamma = ((root_var, (root,)),)
         return self.infer(update, gamma)
 
@@ -228,10 +230,9 @@ class UpdateInference:
             c for c in source_elements if not c.is_empty()
         ]
         symbols = {
-            end[1]
+            self.universe.node(end)[1]
             for component in source_returns
-            if not component.is_empty()
-            for end in component.ends
+            for end in ones(component.ends)
         }
         for symbol in sorted(symbols):
             suffixes.append(self._closure_suffix(symbol))
@@ -245,25 +246,17 @@ class UpdateInference:
         return tuple(result)
 
     def _closure_suffix(self, symbol: str) -> Component:
-        """Suffix chains ``symbol.c''`` for any schema continuation c''."""
-        root: Node = (0, symbol)
-        edges: set[tuple[Node, Node]] = set()
-        ends: set[Node] = {root}
-        frontier = [root]
-        seen = {root}
-        while frontier:
-            node = frontier.pop()
-            for succ in self.universe.successors(node):
-                edges.add((node, succ))
-                ends.add(succ)
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return make_component(root, edges, ends)
+        """Suffix chains ``symbol.c''`` for any schema continuation c''
+        (every node is an end, so the component is trimmed as built)."""
+        universe = self.universe
+        root = universe.node_id((0, symbol))
+        nodes, edges = universe.below(root)
+        nodes |= 1 << root
+        return Component(root, edges, nodes, False, nodes, universe)
 
 
 def _graft_all_ends(prefix: Component, suffix: Component
-                    ) -> tuple[Component, frozenset]:
+                    ) -> tuple[Component, int]:
     """One full-chain component covering every prefix endpoint.
 
     Each endpoint receives its own depth-shifted copy of the suffix; copies
@@ -271,21 +264,26 @@ def _graft_all_ends(prefix: Component, suffix: Component
     graft edges), so the denoted set stays exact up to the usual
     same-(depth,symbol) merging.  Also returns the suffix edges (graft
     edges plus shifted suffix edges) for the split-aware conflict test.
+
+    Both inputs are trimmed and every prefix end gets a graft edge into
+    a trimmed copy, so every node of the union lies on a root-to-end
+    path: the union needs no trimming.
     """
     if prefix.is_empty() or suffix.is_empty():
-        return Component(prefix.root, frozenset(), frozenset()), frozenset()
-    edges: set[tuple[Node, Node]] = set(prefix.edges)
-    suffix_edges: set[tuple[Node, Node]] = set()
-    ends: set[Node] = set()
-    for end in prefix.ends:
-        shifted = shift_component(suffix, end[0] + 1)
-        suffix_edges.add((end, shifted.root))
-        suffix_edges.update(shifted.edges)
-        ends.update(shifted.ends)
-    edges |= suffix_edges
-    component = make_component(prefix.root, edges, ends,
-                               prefix.constructed or suffix.constructed)
-    return component, frozenset(suffix_edges) & component.edges
+        return EMPTY_COMPONENT, 0
+    universe = prefix.universe
+    suffix_edges = ends = 0
+    nodes = prefix.nodes
+    for end in ones(prefix.ends):
+        shifted = shift_component(suffix, universe.node(end)[0] + 1)
+        suffix_edges |= (1 << universe.edge_id(end, shifted.root)
+                         | shifted.edges)
+        ends |= shifted.ends
+        nodes |= shifted.nodes
+    component = Component(prefix.root, prefix.edges | suffix_edges, ends,
+                          prefix.constructed or suffix.constructed, nodes,
+                          universe)
+    return component, suffix_edges
 
 
 def _replace_end_symbols(component: Component, tag: str) -> Component:
@@ -294,24 +292,22 @@ def _replace_end_symbols(component: Component, tag: str) -> Component:
     Root-only chains (renaming the document root) keep a root node with
     the new tag, represented as a fresh root component.
     """
-    edges: set[tuple[Node, Node]] = set(component.edges)
-    reverse: dict[Node, list[Node]] = {}
-    for source, target in component.edges:
-        reverse.setdefault(target, []).append(source)
-    ends: set[Node] = set()
+    universe = component.universe
+    edges = component.edges
+    ends = 0
     root = component.root
     new_root = root
-    for end in component.ends:
-        node: Node = (end[0], tag)
+    for end in ones(component.ends):
+        node = universe.node_id((universe.node(end)[0], tag))
         if end == root:
             new_root = node
-            ends.add(node)
+            ends |= 1 << node
             continue
-        for parent in reverse.get(end, ()):
-            edges.add((parent, node))
-            ends.add(node)
-    if new_root != root and len(ends) == 1:
+        parents = universe.sources(universe.in_edges[end] & component.edges)
+        for parent in ones(parents):
+            edges |= 1 << universe.edge_id(parent, node)
+            ends |= 1 << node
+    if new_root != root and ends.bit_count() == 1:
         # Only the root was renamed: a one-node component with the new tag.
-        return singleton_component(new_root, component.constructed)
-    return make_component(root, edges, {e for e in ends if e[1] == tag},
-                          component.constructed)
+        return singleton_component(universe, new_root, component.constructed)
+    return make_component(universe, root, edges, ends, component.constructed)

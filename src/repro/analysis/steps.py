@@ -4,37 +4,37 @@ Operates on CDAG components.  :func:`step_on_component` computes
 ``TC(AC(c, axis), phi)`` for all chains ``c`` of a component at once;
 :func:`productive_ends` computes the subset of context ends for which the
 step result is non-empty (the paper's (STEPUH) used-chain filter, and the
-building block of the (FOR) filter).
+building block of the (FOR) filter).  Node tests are the universe's
+cached per-test node masks, so both are mask operations.
 """
 
 from __future__ import annotations
 
-from ..xquery.ast import Axis, NodeTest, node_test_matches
+from ..xquery.ast import Axis, NodeTest
 from .cdag import (
+    EMPTY_COMPONENT,
     Component,
-    Node,
-    Universe,
     ancestor_step,
     child_step,
     descendant_step,
-    filter_ends,
+    ones,
     parent_step,
+    restrict_to_ends,
     self_step,
     sibling_step,
 )
 
 
-def axis_on_component(component: Component, axis: Axis,
-                      universe: Universe) -> Component:
+def axis_on_component(component: Component, axis: Axis) -> Component:
     """``AC(c, axis)`` applied to every chain of ``component``."""
     if axis is Axis.SELF:
         return self_step(component)
     if axis is Axis.CHILD:
-        return child_step(component, universe)
+        return child_step(component)
     if axis is Axis.DESCENDANT:
-        return descendant_step(component, universe, or_self=False)
+        return descendant_step(component, or_self=False)
     if axis is Axis.DESCENDANT_OR_SELF:
-        return descendant_step(component, universe, or_self=True)
+        return descendant_step(component, or_self=True)
     if axis is Axis.PARENT:
         return parent_step(component)
     if axis is Axis.ANCESTOR:
@@ -42,133 +42,89 @@ def axis_on_component(component: Component, axis: Axis,
     if axis is Axis.ANCESTOR_OR_SELF:
         return ancestor_step(component, or_self=True)
     if axis is Axis.FOLLOWING_SIBLING:
-        return sibling_step(component, universe, following=True)
+        return sibling_step(component, following=True)
     if axis is Axis.PRECEDING_SIBLING:
-        return sibling_step(component, universe, following=False)
+        return sibling_step(component, following=False)
     raise ValueError(f"unknown axis {axis!r}")
 
 
-def test_on_component(component: Component, test: NodeTest,
-                      universe: Universe) -> Component:
+def test_on_component(component: Component, test: NodeTest) -> Component:
     """``TC(c, phi)``: keep chains whose last symbol's label matches."""
-    return filter_ends(
-        component,
-        lambda end: node_test_matches(test, universe.label(end[1])),
-    )
+    if component.is_empty():
+        return EMPTY_COMPONENT
+    return restrict_to_ends(component, component.universe.matching(test))
 
 
-def step_on_component(component: Component, axis: Axis, test: NodeTest,
-                      universe: Universe) -> Component:
+def step_on_component(component: Component, axis: Axis,
+                      test: NodeTest) -> Component:
     """``TC(AC(c, axis), phi)`` over a whole component."""
-    return test_on_component(
-        axis_on_component(component, axis, universe), test, universe
-    )
+    return test_on_component(axis_on_component(component, axis), test)
 
 
-def productive_ends(component: Component, axis: Axis, test: NodeTest,
-                    universe: Universe) -> frozenset[Node]:
-    """Ends ``n`` of ``component`` whose step result is non-empty.
+def productive_ends(component: Component, axis: Axis,
+                    test: NodeTest) -> int:
+    """Mask of the ends ``n`` of ``component`` whose step result is
+    non-empty.
 
     Exact per-end computation; used by the (STEPUH) used-chain filter and
-    by the (FOR) filter of Table 1.
+    by the (FOR) filter of Table 1.  The node and edge masks an axis
+    reaches are built before the test mask is read, so the test mask
+    covers every node they number.
     """
     if component.is_empty():
-        return frozenset()
-
-    def matches(node: Node) -> bool:
-        return node_test_matches(test, universe.label(node[1]))
+        return 0
+    universe = component.universe
+    ends = component.ends
 
     if axis is Axis.SELF:
-        return frozenset(e for e in component.ends if matches(e))
+        return ends & universe.matching(test)
 
-    if axis is Axis.CHILD:
-        return frozenset(
-            e for e in component.ends
-            if any(matches(s) for s in universe.successors(e))
-        )
+    if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
+        reach = universe.successors if axis is Axis.CHILD \
+            else universe.below
+        reached = [(end, reach(end)[0]) for end in ones(ends)]
+        match = universe.matching(test)
+        result = ends & match if axis is Axis.DESCENDANT_OR_SELF else 0
+        for end, nodes in reached:
+            if nodes & match:
+                result |= 1 << end
+        return result
 
-    if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-        result = set()
-        memo: dict[Node, bool] = {}
-        for end in component.ends:
-            if axis is Axis.DESCENDANT_OR_SELF and matches(end):
-                result.add(end)
-                continue
-            if _has_matching_descendant(end, matches, universe, memo):
-                result.add(end)
-        return frozenset(result)
-
-    # Upward and horizontal axes need the component's own edges.
-    reverse: dict[Node, list[Node]] = {}
-    for source, target in component.edges:
-        reverse.setdefault(target, []).append(source)
-
-    if axis is Axis.PARENT:
-        return frozenset(
-            e for e in component.ends
-            if any(matches(p) for p in reverse.get(e, ()))
-        )
-
-    if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-        result = set()
-        for end in component.ends:
-            if axis is Axis.ANCESTOR_OR_SELF and matches(end):
-                result.add(end)
-                continue
-            seen: set[Node] = set()
-            frontier = list(reverse.get(end, ()))
-            found = False
-            while frontier and not found:
-                node = frontier.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                if matches(node):
-                    found = True
-                    break
-                frontier.extend(reverse.get(node, ()))
-            if found:
-                result.add(end)
-        return frozenset(result)
+    if axis in (Axis.PARENT, Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+        # Ends entered by a component edge from a matching node (parent),
+        # or reached by one or more component edges from one (ancestor).
+        match = universe.matching(test)
+        start = component.nodes & match
+        if axis is Axis.PARENT:
+            out = 0
+            for node in ones(start):
+                out |= universe.out_edges[node]
+            below = universe.targets(out & component.edges)
+        else:
+            below = universe.targets(
+                universe.forward(component.edges, start)[1]
+            )
+        result = ends & below
+        if axis is Axis.ANCESTOR_OR_SELF:
+            result |= ends & match
+        return result
 
     if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
         following = axis is Axis.FOLLOWING_SIBLING
-        result = set()
-        for end in component.ends:
-            symbol = end[1]
-            for parent in reverse.get(end, ()):
-                order = universe.schema.sibling_order(parent[1])
-                if following:
-                    siblings = {b for (a, b) in order if a == symbol}
-                else:
-                    siblings = {a for (a, b) in order if b == symbol}
-                if any(matches((end[0], s)) for s in siblings):
-                    result.add(end)
-                    break
-        return frozenset(result)
+        reached = []
+        for end in ones(ends):
+            parents = universe.sources(
+                universe.in_edges[end] & component.edges
+            )
+            nodes = 0
+            for parent in ones(parents):
+                nodes |= universe.siblings(parent, end, following)[0]
+            reached.append((end, nodes))
+        match = universe.matching(test)
+        result = 0
+        for end, nodes in reached:
+            if nodes & match:
+                result |= 1 << end
+        return result
 
     raise ValueError(f"unknown axis {axis!r}")
-
-
-def _has_matching_descendant(node: Node, matches, universe: Universe,
-                             memo: dict[Node, bool]) -> bool:
-    """Iterative memoized DFS (levels only increase, so the graph is acyclic)."""
-    cached = memo.get(node)
-    if cached is not None:
-        return cached
-    stack: list[tuple[Node, bool]] = [(node, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if current in memo:
-            continue
-        if expanded:
-            memo[current] = any(
-                matches(s) or memo.get(s, False)
-                for s in universe.successors(current)
-            )
-            continue
-        stack.append((current, True))
-        for succ in universe.successors(current):
-            if succ not in memo and not matches(succ):
-                stack.append((succ, False))
-    return memo[node]

@@ -1,5 +1,7 @@
 """The batch analysis engine: caching, digests, and matrix semantics."""
 
+import random
+
 import pytest
 
 from repro.analysis.engine import (
@@ -12,6 +14,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.independence import analyze
 from repro.schema import DTD, bib_dtd, paper_doc_dtd, xmark_dtd
+from repro.testkit.exprgen import random_query, random_update
 
 #: The paper's Section 2 examples over the Figure 1 DTD
 #: ``{doc <- (a|b)*, a <- c, b <- c}``: q0/q1/q2 against u1/u2.
@@ -300,6 +303,33 @@ class TestPairMemoBound:
     def test_expr_cache_size_validation(self, bib):
         with pytest.raises(ValueError):
             AnalysisEngine(bib, expr_cache_size=0)
+
+    def test_inference_memos_are_bounded(self, xmark):
+        # The (AST, Gamma) sub-expression memos sit below the chain
+        # caches; they obey the same bound, count their evictions, and
+        # an eviction only costs recomputation.
+        rng = random.Random("inference-memo-bound")
+        pairs = [(random_query(rng, xmark), random_update(rng, xmark))
+                 for _ in range(40)]
+        bounded = AnalysisEngine(xmark, expr_cache_size=8)
+        unbounded = AnalysisEngine(xmark)
+
+        def verdict(engine, query, update):
+            report = engine.analyze_pair(query, update,
+                                         collect_witnesses=False)
+            return (report.independent, report.k, report.k_query,
+                    report.k_update)
+
+        for query, update in pairs:
+            assert verdict(bounded, query, update) == verdict(
+                unbounded, query, update)
+        for state in bounded._states_by_cap.values():
+            assert len(state.queries._memo) <= 8
+            assert len(state.updates._memo) <= 8
+        assert bounded.stats.expr_evictions > 0
+        assert unbounded.stats.expr_evictions == 0
+        assert max(len(state.queries._memo)
+                   for state in unbounded._states_by_cap.values()) > 8
 
 
 class _CountingStore:

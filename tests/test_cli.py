@@ -163,6 +163,64 @@ class TestExplainModule:
         assert "DEPENDENT" in text
 
 
+class TestWitnessDeterminism:
+    """``--explain`` witnesses are the shortest, lexicographically least
+    prefix chains: the same under every hash seed."""
+
+    QUERY = "//item//text()"
+    UPDATE = "delete //description//text()"
+
+    def _explain(self, hash_seed: str) -> str:
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(
+                       os.path.dirname(repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", "--builtin",
+             "xmark", "--query", self.QUERY, "--update", self.UPDATE,
+             "--explain"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        return "\n".join(line for line in result.stdout.splitlines()
+                         if "analysis time" not in line)
+
+    @staticmethod
+    def _on_path(component, chain) -> bool:
+        """Is ``chain`` a root-to-node path of ``component``?"""
+        universe = component.universe
+        nodes = [(depth, symbol) for depth, symbol in enumerate(chain)]
+        edges = universe.edges_of(component.edges)
+        return universe.node(component.root) == nodes[0] and all(
+            step in edges for step in zip(nodes, nodes[1:])
+        )
+
+    def test_same_witness_under_two_hash_seeds(self):
+        from repro.analysis import analyze
+        from repro.schema import xmark_dtd
+
+        first, second = self._explain("1"), self._explain("2")
+        assert first == second
+        witnesses = {line.split(" via ")[1] for line in first.splitlines()
+                     if " via " in line}
+        assert witnesses == {"site.regions.africa.item.description.text.#S"}
+
+        report = analyze(self.QUERY, self.UPDATE, xmark_dtd())
+        witness = tuple(witnesses.pop().split("."))
+        last = (len(witness) - 1, witness[-1])
+        assert any(self._on_path(c, witness)
+                   and last in c.universe.nodes_of(c.ends)
+                   for c in report.query_chains.returns)
+        assert any(self._on_path(u.full, witness)
+                   and last in u.full.universe.nodes_of(u.full.nodes)
+                   for u in report.update_chains)
+
+
 class TestParserMatchesConfigs:
     """Argparse smoke tests: the CLI surface cannot drift from the
     serve/loadgen config dataclasses or from its own help text."""
